@@ -18,15 +18,15 @@ L2Cache::L2Cache(const std::string &name, std::size_t entries,
 LineState
 L2Cache::state(Addr line) const
 {
-    const auto *way = _array.lookup(lineAddr(line));
-    return way ? way->data : LineState::Invalid;
+    const LineState *st = _array.lookup(lineAddr(line));
+    return st ? *st : LineState::Invalid;
 }
 
 LineState
 L2Cache::state(Addr line, std::size_t set) const
 {
-    const auto *way = _array.lookupInSet(set, lineAddr(line));
-    return way ? way->data : LineState::Invalid;
+    const LineState *st = _array.lookupInSet(set, lineAddr(line));
+    return st ? *st : LineState::Invalid;
 }
 
 L2Cache::Eviction
@@ -38,9 +38,9 @@ L2Cache::fill(Addr line, LineState st)
     // A racing transaction may have installed the line already (e.g. a
     // retried write completing after a merged read): treat the fill as a
     // state change so observers see the true old state.
-    if (auto *way = _array.lookup(line, true)) {
-        const LineState from = way->data;
-        way->data = st;
+    if (LineState *cur = _array.lookup(line, true)) {
+        const LineState from = *cur;
+        *cur = st;
         _refills.inc();
         notify(line, from, st);
         return ev;
@@ -62,14 +62,14 @@ void
 L2Cache::changeState(Addr line, LineState to)
 {
     line = lineAddr(line);
-    auto *way = _array.lookup(line, false);
-    assert(way != nullptr && "changeState on a non-resident line");
-    const LineState from = way->data;
+    LineState *cur = _array.lookup(line, false);
+    assert(cur != nullptr && "changeState on a non-resident line");
+    const LineState from = *cur;
     if (to == LineState::Invalid) {
         _array.erase(line);
         _invalidations.inc();
     } else {
-        way->data = to;
+        *cur = to;
     }
     notify(line, from, to);
 }
@@ -84,13 +84,11 @@ LineState
 L2Cache::invalidate(Addr line, std::size_t set)
 {
     line = lineAddr(line);
-    auto *way = _array.lookupInSet(set, line, false);
-    if (!way)
+    const LineState *cur = _array.lookupInSet(set, line);
+    if (!cur)
         return LineState::Invalid;
-    const LineState from = way->data;
-    way->valid = false;
-    way->tag = kInvalidAddr;
-    way->data = LineState{};
+    const LineState from = *cur;
+    _array.eraseInSet(set, line);
     _invalidations.inc();
     notify(line, from, LineState::Invalid);
     return from;

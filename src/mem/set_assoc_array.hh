@@ -5,14 +5,24 @@
  * Reused by the L2 caches (payload = LineState) and by the address-only
  * predictor structures (payload = empty). Addresses are line addresses;
  * the array derives the set index from the line index bits.
+ *
+ * The ways live in three parallel arrays: tags, LRU stamps and
+ * payloads. A tag of kInvalidAddr marks an invalid way; no line address
+ * equals it, since line addresses have their offset bits clear. A probe
+ * scans only the set's tags, which for 8 ways fill exactly one 64-byte
+ * line (the tag array is line-aligned), and reads the LRU stamp and the
+ * payload only on a hit. Keeping each way's tag, valid flag, stamp and
+ * payload together (32 bytes per way) would make every 8-way probe walk
+ * 4 cache lines.
  */
 
 #ifndef FLEXSNOOP_MEM_SET_ASSOC_ARRAY_HH
 #define FLEXSNOOP_MEM_SET_ASSOC_ARRAY_HH
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
-#include <optional>
+#include <new>
 #include <vector>
 
 #include "sim/types.hh"
@@ -31,32 +41,53 @@ struct InsertResult
     Payload evictedPayload{};
 };
 
+/** std::allocator, but every allocation starts on a cache line. */
+template <typename T>
+struct LineAlignedAllocator
+{
+    using value_type = T;
+    static constexpr std::align_val_t kAlign{64};
+
+    LineAlignedAllocator() = default;
+    template <typename U>
+    LineAlignedAllocator(const LineAlignedAllocator<U> &)
+    {
+    }
+
+    T *
+    allocate(std::size_t n)
+    {
+        return static_cast<T *>(::operator new(n * sizeof(T), kAlign));
+    }
+
+    void deallocate(T *p, std::size_t) { ::operator delete(p, kAlign); }
+
+    friend bool
+    operator==(const LineAlignedAllocator &, const LineAlignedAllocator &)
+    {
+        return true;
+    }
+};
+
 template <typename Payload>
 class SetAssocArray
 {
   public:
-    struct Way
-    {
-        Addr tag = kInvalidAddr; ///< full line address (not just tag bits)
-        bool valid = false;
-        std::uint64_t lru = 0;   ///< larger = more recently used
-        Payload data{};
-    };
-
     /**
      * @param num_entries total entries (must be a multiple of @p ways)
      * @param ways        associativity
      */
     SetAssocArray(std::size_t num_entries, std::size_t ways)
         : _ways(ways), _sets(num_entries / ways),
-          _array(num_entries)
+          _tags(num_entries, kInvalidAddr), _lru(num_entries),
+          _data(num_entries)
     {
         assert(ways > 0);
         assert(num_entries % ways == 0);
         assert(_sets > 0);
     }
 
-    std::size_t numEntries() const { return _array.size(); }
+    std::size_t numEntries() const { return _tags.size(); }
     std::size_t numSets() const { return _sets; }
     std::size_t associativity() const { return _ways; }
 
@@ -64,10 +95,9 @@ class SetAssocArray
     std::size_t
     occupancy() const
     {
-        std::size_t n = 0;
-        for (const auto &w : _array)
-            n += w.valid;
-        return n;
+        return _tags.size() -
+               static_cast<std::size_t>(
+                   std::count(_tags.begin(), _tags.end(), kInvalidAddr));
     }
 
     /** Set index for a line address. */
@@ -78,17 +108,17 @@ class SetAssocArray
     }
 
     /**
-     * Look up @p line; returns the way or nullptr. Updates LRU when
+     * Look up @p line; returns its payload or nullptr. Updates LRU when
      * @p touch is true.
      */
-    Way *
+    Payload *
     lookup(Addr line, bool touch = true)
     {
         line = lineAddr(line);
         return lookupInSet(setIndex(line), line, touch);
     }
 
-    const Way *
+    const Payload *
     lookup(Addr line) const
     {
         return const_cast<SetAssocArray *>(this)->lookup(line, false);
@@ -99,23 +129,18 @@ class SetAssocArray
      * carries it in the message's probe signature (geometry is uniform
      * across all L2s of the machine, so one index serves every node).
      */
-    Way *
+    Payload *
     lookupInSet(std::size_t set, Addr line, bool touch = true)
     {
-        assert(set == setIndex(line));
-        const std::size_t base = set * _ways;
-        for (std::size_t i = 0; i < _ways; ++i) {
-            Way &w = _array[base + i];
-            if (w.valid && w.tag == line) {
-                if (touch)
-                    w.lru = ++_clock;
-                return &w;
-            }
-        }
-        return nullptr;
+        const std::size_t w = findWay(set, line);
+        if (w == kNoWay)
+            return nullptr;
+        if (touch)
+            _lru[w] = ++_clock;
+        return &_data[w];
     }
 
-    const Way *
+    const Payload *
     lookupInSet(std::size_t set, Addr line) const
     {
         return const_cast<SetAssocArray *>(this)->lookupInSet(set, line,
@@ -125,36 +150,37 @@ class SetAssocArray
     /**
      * Insert @p line with @p data, evicting the LRU way if the set is
      * full. If the line is already present its payload is overwritten.
+     * The victim is the first invalid way, else the way with the
+     * strictly smallest LRU stamp.
      */
     InsertResult<Payload>
     insert(Addr line, Payload data = Payload{})
     {
         line = lineAddr(line);
         InsertResult<Payload> result;
-        if (Way *hit = lookup(line, true)) {
-            hit->data = std::move(data);
+        const std::size_t set = setIndex(line);
+        if (Payload *hit = lookupInSet(set, line, true)) {
+            *hit = std::move(data);
             return result;
         }
-        const std::size_t base = setIndex(line) * _ways;
-        Way *victim = &_array[base];
-        for (std::size_t i = 0; i < _ways; ++i) {
-            Way &w = _array[base + i];
-            if (!w.valid) {
-                victim = &w;
+        const std::size_t base = set * _ways;
+        std::size_t victim = base;
+        for (std::size_t w = base; w < base + _ways; ++w) {
+            if (_tags[w] == kInvalidAddr) {
+                victim = w;
                 break;
             }
-            if (w.lru < victim->lru)
-                victim = &w;
+            if (_lru[w] < _lru[victim])
+                victim = w;
         }
-        if (victim->valid) {
+        if (_tags[victim] != kInvalidAddr) {
             result.evicted = true;
-            result.evictedAddr = victim->tag;
-            result.evictedPayload = std::move(victim->data);
+            result.evictedAddr = _tags[victim];
+            result.evictedPayload = std::move(_data[victim]);
         }
-        victim->tag = line;
-        victim->valid = true;
-        victim->lru = ++_clock;
-        victim->data = std::move(data);
+        _tags[victim] = line;
+        _lru[victim] = ++_clock;
+        _data[victim] = std::move(data);
         return result;
     }
 
@@ -162,51 +188,62 @@ class SetAssocArray
     bool
     erase(Addr line)
     {
-        if (Way *w = lookup(line, false)) {
-            w->valid = false;
-            w->tag = kInvalidAddr;
-            w->data = Payload{};
-            return true;
-        }
-        return false;
+        line = lineAddr(line);
+        return eraseInSet(setIndex(line), line);
+    }
+
+    /** erase() with the set index already known. */
+    bool
+    eraseInSet(std::size_t set, Addr line)
+    {
+        const std::size_t w = findWay(set, line);
+        if (w == kNoWay)
+            return false;
+        _tags[w] = kInvalidAddr;
+        _data[w] = Payload{};
+        return true;
     }
 
     /** Invalidate every entry. */
     void
     clear()
     {
-        for (auto &w : _array) {
-            w.valid = false;
-            w.tag = kInvalidAddr;
-            w.data = Payload{};
-        }
+        std::fill(_tags.begin(), _tags.end(), kInvalidAddr);
+        std::fill(_data.begin(), _data.end(), Payload{});
     }
 
     /** Visit every valid way (tag, payload ref). */
     template <typename Fn>
     void
-    forEachValid(Fn &&fn)
-    {
-        for (auto &w : _array) {
-            if (w.valid)
-                fn(w.tag, w.data);
-        }
-    }
-
-    template <typename Fn>
-    void
     forEachValid(Fn &&fn) const
     {
-        for (const auto &w : _array) {
-            if (w.valid)
-                fn(w.tag, w.data);
+        for (std::size_t w = 0; w < _tags.size(); ++w) {
+            if (_tags[w] != kInvalidAddr)
+                fn(_tags[w], _data[w]);
         }
     }
 
   private:
+    static constexpr std::size_t kNoWay = ~std::size_t{0};
+
+    /** Way index holding @p line in @p set, or kNoWay. Reads tags only. */
+    std::size_t
+    findWay(std::size_t set, Addr line) const
+    {
+        assert(set == setIndex(line));
+        const std::size_t base = set * _ways;
+        for (std::size_t w = base; w < base + _ways; ++w) {
+            if (_tags[w] == line)
+                return w;
+        }
+        return kNoWay;
+    }
+
     std::size_t _ways;
     std::size_t _sets;
-    std::vector<Way> _array;
+    std::vector<Addr, LineAlignedAllocator<Addr>> _tags;
+    std::vector<std::uint64_t> _lru; ///< larger = more recently used
+    std::vector<Payload> _data;
     std::uint64_t _clock = 0;
 };
 

@@ -5,20 +5,33 @@
  * Replaces std::unordered_map on the coherence controller's hot paths
  * (transactions by id, per-node pendings by txn, outstanding lines).
  * Linear probing over a power-of-two table with one control byte per
- * slot; the only allocations are table growth, so a map that has
- * reached its high-water mark allocates nothing in steady state —
- * unlike unordered_map, which allocates a node per insert.
+ * slot. Erase leaves a tombstone, so it never moves an entry.
+ *
+ * Capacity follows the live count, never the churn. Tombstones count
+ * toward the 70% load that triggers a rehash, so growing the table at
+ * every rehash would make capacity track total insert/erase churn: a
+ * map holding 2 live keys after 20,000 put/erase cycles would reach
+ * 16,384 slots, nearly all tombstones, and every miss would walk them.
+ * Instead a rehash sizes the table to the smallest power of two >=
+ * 2.5 x (live + 1), at least 16 and never below its current capacity.
+ * Churn at a steady live count therefore re-packs the table in its own
+ * storage, and only a new live high-water mark grows it: a map at its
+ * high-water mark allocates nothing, unlike unordered_map, which
+ * allocates a node per insert.
  *
  * Values are expected to be small and trivially movable (pointers,
- * ids). Erase uses tombstones; growth rehashes and drops them.
+ * ids). A pointer from find() or getOrCreate() stays valid until the
+ * next insert of a new key, which may re-pack or grow the table.
  */
 
 #ifndef FLEXSNOOP_SIM_FLAT_MAP_HH
 #define FLEXSNOOP_SIM_FLAT_MAP_HH
 
-#include <cassert>
+#include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace flexsnoop
@@ -28,18 +41,16 @@ template <typename V>
 class FlatMap
 {
   public:
-    explicit FlatMap(std::size_t initial_capacity = 16)
+    FlatMap() : _ctrl(kMinCapacity, kEmpty), _keys(kMinCapacity),
+                _values(kMinCapacity)
     {
-        std::size_t cap = 8;
-        while (cap < initial_capacity)
-            cap *= 2;
-        _ctrl.assign(cap, kEmpty);
-        _keys.resize(cap);
-        _values.resize(cap);
     }
 
     std::size_t size() const { return _size; }
     bool empty() const { return _size == 0; }
+
+    /** Number of slots; a function of the live high-water mark. */
+    std::size_t capacity() const { return _ctrl.size(); }
 
     /** Pointer to the value for @p key, or nullptr. */
     V *
@@ -77,10 +88,12 @@ class FlatMap
     {
         if (V *v = find(key))
             return *v;
-        maybeGrow();
-        std::size_t i = hash(key) & (_ctrl.size() - 1);
+        if ((_size + _tombstones + 1) * 10 >= _ctrl.size() * 7)
+            rehash();
+        const std::size_t mask = _ctrl.size() - 1;
+        std::size_t i = hash(key) & mask;
         while (_ctrl[i] == kFull)
-            i = (i + 1) & (_ctrl.size() - 1);
+            i = (i + 1) & mask;
         if (_ctrl[i] == kTombstone)
             --_tombstones;
         _ctrl[i] = kFull;
@@ -129,6 +142,7 @@ class FlatMap
     static constexpr std::uint8_t kFull = 1;
     static constexpr std::uint8_t kTombstone = 2;
     static constexpr std::size_t kNotFound = ~std::size_t{0};
+    static constexpr std::size_t kMinCapacity = 16;
 
     /** splitmix64 finalizer: cheap and well-distributed for ids and
      *  line addresses (which share low-entropy low bits). */
@@ -154,19 +168,69 @@ class FlatMap
         return kNotFound;
     }
 
+    /**
+     * Drop every tombstone, growing only past a new live high. The
+     * target keeps live entries at about 40% of the table or less: about
+     * 30% of the slots then take inserts before the next rehash, and a
+     * table that fills with live entries (70%) exactly doubles.
+     */
     void
-    maybeGrow()
+    rehash()
     {
-        if ((_size + _tombstones + 1) * 10 < _ctrl.size() * 7)
-            return;
-        std::vector<std::uint8_t> old_ctrl = std::move(_ctrl);
-        std::vector<std::uint64_t> old_keys = std::move(_keys);
-        std::vector<V> old_values = std::move(_values);
-        const std::size_t cap = old_ctrl.size() * 2;
-        _ctrl.assign(cap, kEmpty);
-        _keys.resize(cap);
-        _values.resize(cap);
-        _size = 0;
+        const std::size_t cap =
+            std::max(_ctrl.size(), std::bit_ceil((_size + 1) * 5 / 2));
+        if (cap == _ctrl.size())
+            repack();
+        else
+            grow(cap);
+    }
+
+    /**
+     * Drop every tombstone at the same capacity, reusing the storage.
+     * Clearing the tombstones can cut an entry off from its home slot,
+     * so each entry is then re-seated at the first free slot of its
+     * probe chain. Slots are visited in cyclic order from a slot that
+     * was empty before the clear; no probe chain crosses that slot, so
+     * each chain is visited from its home on. An entry only ever moves
+     * back toward its home, so re-seating one never cuts off another
+     * already re-seated.
+     */
+    void
+    repack()
+    {
+        const std::size_t mask = _ctrl.size() - 1;
+        // Exists: live + tombstones stay below 70% of the table.
+        std::size_t start = 0;
+        while (_ctrl[start] != kEmpty)
+            ++start;
+        std::replace(_ctrl.begin(), _ctrl.end(), kTombstone, kEmpty);
+        _tombstones = 0;
+        for (std::size_t n = 1; n < _ctrl.size(); ++n) {
+            const std::size_t i = (start + n) & mask;
+            if (_ctrl[i] != kFull)
+                continue;
+            std::size_t j = hash(_keys[i]) & mask;
+            while (j != i && _ctrl[j] == kFull)
+                j = (j + 1) & mask;
+            if (j == i)
+                continue;
+            _ctrl[j] = kFull;
+            _keys[j] = _keys[i];
+            _values[j] = std::move(_values[i]);
+            _ctrl[i] = kEmpty;
+            _values[i] = V{};
+        }
+    }
+
+    void
+    grow(std::size_t cap)
+    {
+        std::vector<std::uint8_t> old_ctrl =
+            std::exchange(_ctrl, std::vector<std::uint8_t>(cap, kEmpty));
+        std::vector<std::uint64_t> old_keys =
+            std::exchange(_keys, std::vector<std::uint64_t>(cap));
+        std::vector<V> old_values =
+            std::exchange(_values, std::vector<V>(cap));
         _tombstones = 0;
         for (std::size_t i = 0; i < old_ctrl.size(); ++i) {
             if (old_ctrl[i] != kFull)
@@ -177,7 +241,6 @@ class FlatMap
             _ctrl[j] = kFull;
             _keys[j] = old_keys[i];
             _values[j] = std::move(old_values[i]);
-            ++_size;
         }
     }
 

@@ -406,13 +406,31 @@ void
 writeCriticalPathTable(std::ostream &os, const TraceFile &file,
                        const TraceAnalysis &analysis)
 {
-    os << std::right << std::setw(8) << "txn" << std::setw(16) << "line"
-       << std::setw(6) << "node" << std::setw(6) << "kind"
-       << std::setw(10) << "latency" << std::setw(8) << "issue"
-       << std::setw(8) << "ring" << std::setw(8) << "snoop"
-       << std::setw(8) << "gate" << std::setw(8) << "data"
-       << std::setw(8) << "mem" << std::setw(8) << "other"
-       << std::setw(10) << "sum" << "\n";
+    // Every column after the first opens with a space, so the total
+    // row's sums (9+ digits on a full run) never run into a neighbour.
+    const auto col = [&os](int width) -> std::ostream & {
+        return os << ' ' << std::setw(width);
+    };
+    const auto components = [&col](const CriticalPath &cp) {
+        col(7) << cp.issueLocal;
+        col(7) << cp.ringTransit;
+        col(7) << cp.snoopWait;
+        col(7) << cp.gatewayHold;
+        col(7) << cp.dataNetwork;
+        col(7) << cp.memory;
+        col(7) << cp.other;
+        col(9) << cp.total() << "\n";
+    };
+
+    os << std::right << std::setw(8) << "txn";
+    col(15) << "line";
+    col(5) << "node";
+    col(5) << "kind";
+    col(9) << "latency";
+    for (const char *name :
+         {"issue", "ring", "snoop", "gate", "data", "mem", "other"})
+        col(7) << name;
+    col(9) << "sum" << "\n";
 
     CriticalPath agg;
     std::uint64_t agg_latency = 0;
@@ -421,15 +439,12 @@ writeCriticalPathTable(std::ostream &os, const TraceFile &file,
         if (!t.complete)
             continue;
         const CriticalPath cp = criticalPath(file, t);
-        os << std::setw(8) << t.txn << std::setw(16) << hexAddr(t.addr)
-           << std::setw(6) << t.requester << std::setw(6)
-           << (t.isWrite ? "wr" : "rd") << std::setw(10) << t.latency
-           << std::setw(8) << cp.issueLocal << std::setw(8)
-           << cp.ringTransit << std::setw(8) << cp.snoopWait
-           << std::setw(8) << cp.gatewayHold << std::setw(8)
-           << cp.dataNetwork << std::setw(8) << cp.memory
-           << std::setw(8) << cp.other << std::setw(10) << cp.total()
-           << "\n";
+        os << std::setw(8) << t.txn;
+        col(15) << hexAddr(t.addr);
+        col(5) << t.requester;
+        col(5) << (t.isWrite ? "wr" : "rd");
+        col(9) << t.latency;
+        components(cp);
         agg.issueLocal += cp.issueLocal;
         agg.ringTransit += cp.ringTransit;
         agg.snoopWait += cp.snoopWait;
@@ -440,13 +455,12 @@ writeCriticalPathTable(std::ostream &os, const TraceFile &file,
         agg_latency += t.latency;
         ++rows;
     }
-    os << std::setw(8) << "total" << std::setw(16) << "" << std::setw(6)
-       << "" << std::setw(6) << "" << std::setw(10) << agg_latency
-       << std::setw(8) << agg.issueLocal << std::setw(8)
-       << agg.ringTransit << std::setw(8) << agg.snoopWait
-       << std::setw(8) << agg.gatewayHold << std::setw(8)
-       << agg.dataNetwork << std::setw(8) << agg.memory << std::setw(8)
-       << agg.other << std::setw(10) << agg.total() << "\n";
+    os << std::setw(8) << "total";
+    col(15) << "";
+    col(5) << "";
+    col(5) << "";
+    col(9) << agg_latency;
+    components(agg);
     os << rows << " transactions; components "
        << (agg.total() == agg_latency ? "sum to" : "DO NOT sum to")
        << " the reported latencies\n";

@@ -155,13 +155,14 @@ TEST_P(HierEquivalence, TraceBytesIdentical)
         return bytes.str();
     };
 
+    // One file per algorithm: ctest runs the instances in parallel.
+    const std::string stem =
+        "/tmp/flexsnoop_test_hier_" + std::string(toString(GetParam()));
     cfg.topology = TopologyConfig{};
-    const std::string flat_bytes =
-        traceRun("/tmp/flexsnoop_test_hier_flat.fstrace");
+    const std::string flat_bytes = traceRun(stem + "_flat.fstrace");
     cfg.topology.kind = TopologyKind::Hier;
     cfg.topology.localRings = 1;
-    const std::string degen_bytes =
-        traceRun("/tmp/flexsnoop_test_hier_degen.fstrace");
+    const std::string degen_bytes = traceRun(stem + "_degen.fstrace");
 
     ASSERT_FALSE(flat_bytes.empty());
     EXPECT_TRUE(flat_bytes == degen_bytes)

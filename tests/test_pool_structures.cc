@@ -2,12 +2,14 @@
  * @file
  * Unit tests for the allocation-free hot-path containers: SlotPool
  * (recycled slots, stable addresses) and FlatMap (open addressing,
- * tombstone erase).
+ * tombstone erase, capacity set by the live count).
  */
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/flat_map.hh"
@@ -134,6 +136,76 @@ TEST(FlatMap, SurvivesGrowthAndTombstoneChurn)
         map.put(k * 64, k + 1000000);
     EXPECT_EQ(map.size(), n);
     EXPECT_EQ(*map.find(0), 1000000u);
+}
+
+TEST(FlatMap, ChurnDoesNotGrowCapacity)
+{
+    // 100,000 put/erase cycles with at most 8 live keys, once with
+    // sequential keys (like transaction ids) and once with k * 64 (like
+    // line addresses). Capacity must follow the 8 live keys, not the
+    // churn, and the table must stay exact through every re-pack.
+    constexpr std::uint64_t kCycles = 100000;
+    for (const std::uint64_t stride : {std::uint64_t{1}, std::uint64_t{64}}) {
+        SCOPED_TRACE(stride);
+        FlatMap<std::uint64_t> map;
+        std::mt19937_64 rng(stride);
+        std::vector<std::uint64_t> live;
+        for (std::uint64_t k = 1; k <= kCycles; ++k) {
+            map.put(k * stride, k);
+            live.push_back(k);
+            if (live.size() == 8) {
+                const std::size_t victim = rng() % live.size();
+                ASSERT_TRUE(map.erase(live[victim] * stride)) << k;
+                live[victim] = live.back();
+                live.pop_back();
+            }
+        }
+        EXPECT_LE(map.capacity(), 64u);
+        EXPECT_EQ(map.size(), live.size());
+        const std::set<std::uint64_t> alive(live.begin(), live.end());
+        for (std::uint64_t k = 1; k <= kCycles; ++k) {
+            const std::uint64_t *v = map.find(k * stride);
+            if (alive.count(k)) {
+                ASSERT_NE(v, nullptr) << k;
+                EXPECT_EQ(*v, k);
+            } else {
+                ASSERT_EQ(v, nullptr) << k;
+            }
+        }
+    }
+}
+
+TEST(FlatMap, MatchesUnorderedMapUnderRandomChurn)
+{
+    // The live count climbs to ~650, then drifts between ~350 and ~650:
+    // the table first grows to new highs, then re-packs in place at a
+    // fixed capacity.
+    FlatMap<std::uint64_t> map;
+    std::unordered_map<std::uint64_t, std::uint64_t> ref;
+    std::mt19937_64 rng(7);
+    for (std::uint64_t step = 0; step < 200000; ++step) {
+        const std::uint64_t phase = (step / 20000) % 2;
+        const std::uint64_t key = (rng() % 1024) * 64;
+        const bool insert = rng() % 100 < (phase ? 35u : 65u);
+        if (insert) {
+            map.put(key, step);
+            ref[key] = step;
+        } else {
+            ASSERT_EQ(map.erase(key), ref.erase(key) == 1) << step;
+        }
+        ASSERT_EQ(map.size(), ref.size()) << step;
+    }
+    EXPECT_LE(map.capacity(), 2048u);
+    for (std::uint64_t k = 0; k < 1024; ++k) {
+        const auto it = ref.find(k * 64);
+        const std::uint64_t *v = map.find(k * 64);
+        if (it == ref.end()) {
+            EXPECT_EQ(v, nullptr) << k;
+        } else {
+            ASSERT_NE(v, nullptr) << k;
+            EXPECT_EQ(*v, it->second);
+        }
+    }
 }
 
 TEST(FlatMap, ForEachVisitsExactlyTheLiveMappings)

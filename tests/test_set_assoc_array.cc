@@ -1,9 +1,18 @@
 /**
  * @file
- * Unit tests for the generic set-associative array.
+ * Unit tests for the generic set-associative array, plus a randomized
+ * differential test against a recency-list reference model: the array
+ * owns victim selection, which every modeled result depends on.
  */
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <list>
+#include <optional>
+#include <random>
+#include <utility>
+#include <vector>
 
 #include "mem/set_assoc_array.hh"
 
@@ -31,10 +40,9 @@ TEST(SetAssocArray, InsertThenLookup)
 {
     SetAssocArray<int> arr(16, 4);
     arr.insert(line(3), 42);
-    const auto *way = arr.lookup(line(3));
-    ASSERT_NE(way, nullptr);
-    EXPECT_EQ(way->data, 42);
-    EXPECT_EQ(way->tag, line(3));
+    const int *payload = arr.lookup(line(3));
+    ASSERT_NE(payload, nullptr);
+    EXPECT_EQ(*payload, 42);
     EXPECT_EQ(arr.occupancy(), 1u);
 }
 
@@ -50,7 +58,7 @@ TEST(SetAssocArray, OffsetBitsIgnored)
     SetAssocArray<int> arr(16, 4);
     arr.insert(line(3) + 17, 9);
     ASSERT_NE(arr.lookup(line(3) + 42), nullptr);
-    EXPECT_EQ(arr.lookup(line(3))->data, 9);
+    EXPECT_EQ(*arr.lookup(line(3)), 9);
 }
 
 TEST(SetAssocArray, ReinsertOverwritesPayloadWithoutEviction)
@@ -59,7 +67,7 @@ TEST(SetAssocArray, ReinsertOverwritesPayloadWithoutEviction)
     arr.insert(line(3), 1);
     const auto res = arr.insert(line(3), 2);
     EXPECT_FALSE(res.evicted);
-    EXPECT_EQ(arr.lookup(line(3))->data, 2);
+    EXPECT_EQ(*arr.lookup(line(3)), 2);
     EXPECT_EQ(arr.occupancy(), 1u);
 }
 
@@ -152,6 +160,130 @@ TEST(SetAssocArray, FullAssociativeStress)
     arr.forEachValid([&](Addr a, const int &v) {
         EXPECT_EQ(static_cast<int>(lineIndex(a)), v);
     });
+}
+
+/**
+ * Reference model: each set is a list of (line, payload) in recency
+ * order, most recent first. A full set evicts its last element.
+ */
+class RecencyListModel
+{
+  public:
+    RecencyListModel(std::size_t sets, std::size_t ways)
+        : _sets(sets), _ways(ways)
+    {
+    }
+
+    std::optional<int>
+    lookup(Addr a, bool touch)
+    {
+        auto &set = _sets[lineIndex(a) % _sets.size()];
+        auto it = std::find_if(set.begin(), set.end(),
+                               [a](const auto &e) { return e.first == a; });
+        if (it == set.end())
+            return std::nullopt;
+        if (touch)
+            set.splice(set.begin(), set, it);
+        return it->second;
+    }
+
+    /** @return the evicted (line, payload), if any. */
+    std::optional<std::pair<Addr, int>>
+    insert(Addr a, int payload)
+    {
+        auto &set = _sets[lineIndex(a) % _sets.size()];
+        if (lookup(a, true)) {
+            set.front().second = payload;
+            return std::nullopt;
+        }
+        std::optional<std::pair<Addr, int>> evicted;
+        if (set.size() == _ways) {
+            evicted = set.back();
+            set.pop_back();
+        }
+        set.emplace_front(a, payload);
+        return evicted;
+    }
+
+    bool
+    erase(Addr a)
+    {
+        auto &set = _sets[lineIndex(a) % _sets.size()];
+        const auto before = set.size();
+        set.remove_if([a](const auto &e) { return e.first == a; });
+        return set.size() != before;
+    }
+
+    std::size_t
+    size() const
+    {
+        std::size_t n = 0;
+        for (const auto &set : _sets)
+            n += set.size();
+        return n;
+    }
+
+  private:
+    std::vector<std::list<std::pair<Addr, int>>> _sets;
+    std::size_t _ways;
+};
+
+TEST(SetAssocArray, RandomizedDifferentialAgainstRecencyLists)
+{
+    // 64 entries, 8 ways (8 sets); 16 candidate lines per set and 3/8
+    // inserts vs 1/8 erases, so sets overflow constantly.
+    constexpr std::size_t kEntries = 64;
+    constexpr std::size_t kWays = 8;
+    constexpr std::uint64_t kLines = 128;
+    SetAssocArray<int> arr(kEntries, kWays);
+    RecencyListModel ref(kEntries / kWays, kWays);
+    std::mt19937_64 rng(2006);
+    std::size_t evictions = 0;
+    const auto expectSame = [](const int *got, std::optional<int> want) {
+        ASSERT_EQ(got != nullptr, want.has_value());
+        if (want) {
+            ASSERT_EQ(*got, *want);
+        }
+    };
+
+    for (int op = 0; op < 50000; ++op) {
+        const Addr a = line(rng() % kLines);
+        SCOPED_TRACE(op);
+        switch (rng() % 8) {
+          case 0:
+          case 1:
+          case 2: { // insert
+            const auto got = arr.insert(a, op);
+            const auto want = ref.insert(a, op);
+            ASSERT_EQ(got.evicted, want.has_value());
+            if (want) {
+                ASSERT_EQ(got.evictedAddr, want->first);
+                ASSERT_EQ(got.evictedPayload, want->second);
+                ++evictions;
+            }
+            break;
+          }
+          case 3:
+          case 4: { // lookup that updates LRU
+            const int *got = rng() % 2
+                                 ? arr.lookup(a, true)
+                                 : arr.lookupInSet(arr.setIndex(a), a, true);
+            expectSame(got, ref.lookup(a, true));
+            break;
+          }
+          case 5:
+          case 6: // lookup that does not
+            expectSame(std::as_const(arr).lookup(a), ref.lookup(a, false));
+            break;
+          default: // erase
+            ASSERT_EQ(rng() % 2 ? arr.erase(a)
+                                : arr.eraseInSet(arr.setIndex(a), a),
+                      ref.erase(a));
+            break;
+        }
+        ASSERT_EQ(arr.occupancy(), ref.size());
+    }
+    EXPECT_GT(evictions, 5000u);
 }
 
 TEST(SetAssocArray, InsertResultDefaultIsNoEviction)

@@ -112,7 +112,10 @@ TEST_P(MetricsObserverEffect, SamplingPerturbsNothingOnAnyProfile)
 
         const RunResult off = runSimulation(cfg, traces, profile.name);
 
-        const std::string path = "/tmp/flexsnoop_test_observer.fsmetrics";
+        // One file per algorithm: ctest runs the instances in parallel.
+        const std::string path = "/tmp/flexsnoop_test_observer_" +
+                                 std::string(toString(GetParam())) +
+                                 ".fsmetrics";
         cfg.metrics.path = path;
         cfg.metrics.intervalCycles = 2000;
         const RunResult on = runSimulation(cfg, traces, profile.name);

@@ -15,6 +15,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -182,6 +183,72 @@ TEST(TraceSubsystem, CriticalPathComponentsSumToLatency)
     }
     EXPECT_EQ(checked, analysis.completed());
     std::remove(path.c_str());
+}
+
+/** Whitespace-separated fields of @p line. */
+std::vector<std::string>
+fields(const std::string &line)
+{
+    std::istringstream is(line);
+    return {std::istream_iterator<std::string>(is),
+            std::istream_iterator<std::string>()};
+}
+
+TEST(TraceSubsystem, CriticalPathTableColumnsStaySeparated)
+{
+    // One read whose phases run to 8-10 digits, as the total row's sums
+    // do on a full-length run.
+    TraceFile file;
+    const auto rec = [&file](TraceEvent e, Cycle at, std::uint64_t arg1,
+                             std::uint16_t a = 0) {
+        TraceRecord r;
+        r.cycle = at;
+        r.txn = 1;
+        r.arg0 = 0x1000;
+        r.arg1 = arg1;
+        r.type = static_cast<std::uint16_t>(e);
+        r.node = 0;
+        r.a = a;
+        file.records.push_back(r);
+    };
+    rec(TraceEvent::TxnStart, 5, 0);
+    rec(TraceEvent::RingIssue, 12345683, 0);
+    rec(TraceEvent::RingDone, 500000000, 0);
+    rec(TraceEvent::MemFetch, 500000000, 700000000);
+    rec(TraceEvent::MemData, 1200000000, 0);
+    rec(TraceEvent::DataDelivered, 1234567890, 1234567885, 1);
+
+    const TraceAnalysis analysis = analyzeTrace(file);
+    ASSERT_EQ(analysis.completed(), 1u);
+    const CriticalPath cp = criticalPath(file, analysis.txns.front());
+    const std::uint64_t want[] = {cp.issueLocal, cp.ringTransit,
+                                  cp.snoopWait,  cp.gatewayHold,
+                                  cp.dataNetwork, cp.memory, cp.other};
+    ASSERT_GE(cp.issueLocal, 10000000u) << "an 8-digit column";
+
+    std::ostringstream os;
+    writeCriticalPathTable(os, file, analysis);
+    std::istringstream table(os.str());
+    std::string header, row, total;
+    std::getline(table, header);
+    std::getline(table, row);
+    std::getline(table, total);
+    EXPECT_EQ(fields(header).size(), 13u) << header;
+    EXPECT_EQ(fields(row).size(), 13u) << row;
+
+    // total, latency, seven components, sum.
+    const std::vector<std::string> f = fields(total);
+    ASSERT_EQ(f.size(), 10u) << total;
+    EXPECT_EQ(f[0], "total");
+    const std::uint64_t latency = std::stoull(f[1]);
+    EXPECT_EQ(latency, 1234567885u);
+    std::uint64_t sum = 0;
+    for (std::size_t i = 0; i < 7; ++i) {
+        EXPECT_EQ(std::stoull(f[2 + i]), want[i]) << "component " << i;
+        sum += std::stoull(f[2 + i]);
+    }
+    EXPECT_EQ(sum, latency);
+    EXPECT_EQ(std::stoull(f[9]), latency);
 }
 
 TEST(TraceSubsystem, DecodedTraceIsConsistent)
