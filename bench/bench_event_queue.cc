@@ -2,16 +2,13 @@
  * @file
  * Head-to-head scheduler benchmark: the hierarchical timing wheel vs
  * the reference binary heap, on the event shapes the simulator actually
- * produces. Three scenarios:
+ * produces. Two scenarios:
  *
  *  - steady state: a full queue (1k / 16k pending) with one pop and one
  *    schedule per operation, delays drawn from the ring/bus/memory/
  *    watchdog latency mix — the figure benches' inner loop;
  *  - burst: schedule a batch cold and drain it — experiment setup and
- *    teardown phases;
- *  - reschedule: retarget a tagged entry among many pending — the
- *    express path's cancel/retire operation, O(1) indexed on the wheel
- *    vs an O(pending) scan on the heap.
+ *    teardown phases.
  *
  * Reports ns/op per implementation and the wheel's speedup, and writes
  * BENCH_event_queue.json (schema in docs/METRICS.md). The acceptance
@@ -151,34 +148,6 @@ burstNsPerEvent(EventQueue::Impl impl, std::size_t batch,
     return toNs(stop - start) / static_cast<double>(batch * rounds);
 }
 
-/** Retarget one tagged entry among @p depth pending events, @p ops
- *  times. @return ns per reschedule. */
-double
-rescheduleNsPerOp(EventQueue::Impl impl, std::size_t depth,
-                  std::size_t ops)
-{
-    static const std::vector<Cycle> delays = drawDelays();
-    EventQueue q(impl);
-    q.configureWheel(1024);
-    q.reserve(depth + 1);
-    std::uint64_t sink = 0;
-    for (std::size_t i = 0; i < depth; ++i)
-        q.schedule(500 + delays[i & kDelayMask], [&sink]() { ++sink; });
-    // The tagged entry sits far out, like an express retirement whose
-    // plan keeps being extended.
-    const std::uint64_t tag =
-        q.scheduleAtTagged(1'000'000, [&sink]() { ++sink; });
-
-    const auto start = std::chrono::steady_clock::now();
-    for (std::size_t i = 0; i < ops; ++i) {
-        const Cycle when = 1'000'000 + delays[i & kDelayMask];
-        q.reschedule(tag, when, [&sink]() { ++sink; });
-    }
-    const auto stop = std::chrono::steady_clock::now();
-    q.clear();
-    return toNs(stop - start) / static_cast<double>(ops);
-}
-
 /** Best of five timed runs (after one warmup) to shed scheduler and
  *  allocator noise. */
 template <typename Fn>
@@ -258,17 +227,6 @@ main()
         })};
     report("burst 16k batch     ", burst);
 
-    const Pair resched_1k = {
-        bestOf([&]() {
-            return rescheduleNsPerOp(EventQueue::Impl::Heap, 1024,
-                                     ops(200'000));
-        }),
-        bestOf([&]() {
-            return rescheduleNsPerOp(EventQueue::Impl::Wheel, 1024,
-                                     ops(2'000'000));
-        })};
-    report("reschedule 1k depth ", resched_1k);
-
     bench::writeBenchRecord(
         "event_queue",
         {{"ns_per_op_steady1k_heap", steady_1k.heap},
@@ -279,9 +237,6 @@ main()
          {"speedup_steady16k", steady_16k.speedup()},
          {"ns_per_event_burst_heap", burst.heap},
          {"ns_per_event_burst_wheel", burst.wheel},
-         {"speedup_burst", burst.speedup()},
-         {"ns_per_reschedule1k_heap", resched_1k.heap},
-         {"ns_per_reschedule1k_wheel", resched_1k.wheel},
-         {"speedup_reschedule1k", resched_1k.speedup()}});
+         {"speedup_burst", burst.speedup()}});
     return 0;
 }

@@ -32,15 +32,6 @@ struct CoherenceParams
     Cycle waiterBusDelay = 55;
 
     /**
-     * Enable the ring express path: coalesce a full run of pure-Forward
-     * hops into a single arrival event (net/ring, coherence/express).
-     * Purely a simulator optimization — every architectural statistic
-     * is bit-identical either way (enforced by the equivalence test).
-     * Also disabled at runtime by FLEXSNOOP_STRICT_RING=1.
-     */
-    bool ringExpress = true;
-
-    /**
      * Per-transaction watchdog (docs/FAULTS.md): a transaction whose
      * ring round has not concluded after this many cycles is reissued
      * (bounded by maxRetries). 0 disables the watchdog — the default,

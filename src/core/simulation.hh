@@ -99,6 +99,10 @@ struct RunResult
     }
 
     void dump(std::ostream &os) const;
+
+    /** Every field, doubles compared exactly: equivalent runs perform
+     *  identical arithmetic on identical counters. */
+    bool operator==(const RunResult &) const = default;
 };
 
 /**

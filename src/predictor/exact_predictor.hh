@@ -42,12 +42,6 @@ class ExactPredictor : public SupplierPredictor
     void supplierGained(Addr line) override;
     void supplierLost(Addr line) override;
 
-    bool
-    wouldPredict(Addr line) const override
-    {
-        return _array.lookup(lineAddr(line)) != nullptr;
-    }
-
     Cycle accessLatency() const override { return _latency; }
     bool mayFalsePositive() const override { return false; }
     bool mayFalseNegative() const override { return false; }

@@ -46,14 +46,6 @@ class ExcludeCache
         return _array.lookup(lineAddr(line), true) != nullptr;
     }
 
-    /** contains() without the LRU touch; the express probe must not
-     *  perturb replacement state. The answer is identical. */
-    bool
-    peek(Addr line) const
-    {
-        return _array.lookup(lineAddr(line)) != nullptr;
-    }
-
     std::size_t occupancy() const { return _array.occupancy(); }
 
     std::uint64_t

@@ -43,8 +43,6 @@ class SupersetPredictor : public SupplierPredictor
     void supplierGained(Addr line) override;
     void supplierLost(Addr line) override;
     void falsePositive(Addr line) override;
-    bool wouldPredict(Addr line) const override;
-    bool wouldPredict(Addr line, const ProbeSignature &sig) const override;
     unsigned fillSignature(Addr line, std::uint32_t *out) const override;
 
     Cycle accessLatency() const override { return _latency; }

@@ -58,15 +58,6 @@ class SupplierPredictor
     virtual bool predict(Addr line) = 0;
 
     /**
-     * Answer exactly what predict() would answer right now, with no
-     * side effects: no counters, no LRU touches, no training. The
-     * express path probes downstream predictors through this before
-     * committing to a coalesced hop run; the later replay calls the
-     * real predict() so all observable state matches the per-hop path.
-     */
-    virtual bool wouldPredict(Addr line) const = 0;
-
-    /**
      * predict() with the ring message's hash-once signature. Structures
      * whose lookup is a bloom probe answer from the precomputed indices
      * (pure bitmap loads); everything else — and any signature whose
@@ -81,14 +72,6 @@ class SupplierPredictor
         (void)sig;
         _probeHashed.inc();
         return predict(line);
-    }
-
-    /** wouldPredict() with the signature fast path (side-effect-free). */
-    virtual bool
-    wouldPredict(Addr line, const ProbeSignature &sig) const
-    {
-        (void)sig;
-        return wouldPredict(line);
     }
 
     /**

@@ -20,11 +20,7 @@ implFromEnv()
 
 EventQueue::EventQueue() : EventQueue(implFromEnv()) {}
 
-EventQueue::EventQueue(Impl impl) : _impl(impl)
-{
-    if (std::getenv("FLEXSNOOP_QUEUE_STATS"))
-        _wheel.enableHorizonHistogram(true);
-}
+EventQueue::EventQueue(Impl impl) : _impl(impl) {}
 
 // Heap (reference implementation) ------------------------------------
 
@@ -75,36 +71,6 @@ EventQueue::popTop()
 }
 
 // Shared interface ---------------------------------------------------
-
-void
-EventQueue::reschedule(std::uint64_t seq, Cycle when, EventFn fn)
-{
-    assert(when >= _now && "cannot schedule into the past");
-    if (when > _maxScheduledAt)
-        _maxScheduledAt = when;
-    if (_impl == Impl::Wheel) {
-        const bool found =
-            _wheel.reschedule(seq, _now, when, std::move(fn));
-        assert(found && "reschedule: no pending entry with that seq");
-        (void)found;
-        return;
-    }
-    // Reference heap: linear scan, O(pending).
-    for (std::size_t i = 0; i < _heap.size(); ++i) {
-        if (_heap[i].seq != seq)
-            continue;
-        _heap[i].when = when;
-        _heap[i].fn = std::move(fn);
-        // The entry may now order either earlier or later than before;
-        // restore the heap in whichever direction applies.
-        if (i > 0 && _heap[i].before(_heap[(i - 1) / 2]))
-            siftUp(i);
-        else
-            siftDown(i);
-        return;
-    }
-    assert(false && "reschedule: no pending entry with that seq");
-}
 
 void
 EventQueue::fireSampleHook()

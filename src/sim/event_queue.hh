@@ -10,8 +10,7 @@
  *
  *  - the default hierarchical timing wheel (timing_wheel.hh), which
  *    makes schedule/pop O(1) for the short, clustered event horizons a
- *    fixed-latency embedded ring produces, and reschedule() an O(1)
- *    indexed operation; and
+ *    fixed-latency embedded ring produces; and
  *  - the original explicit binary heap, kept as the bit-exact
  *    reference implementation and selected by setting the
  *    FLEXSNOOP_HEAP_QUEUE environment variable (or constructing with
@@ -138,11 +137,6 @@ class EventQueue
     scheduleAt(Cycle when, EventFn fn)
     {
         assert(when >= _now && "cannot schedule into the past");
-        // The observer may reschedule() an existing entry (express-plan
-        // cancellation); it runs before this entry is inserted so the
-        // scheduler is consistent throughout.
-        if (_observer)
-            _observer(_observerCtx, when);
         if (when > _maxScheduledAt)
             _maxScheduledAt = when;
         const std::uint64_t seq = _nextSeq++;
@@ -150,35 +144,8 @@ class EventQueue
             _heap.push_back(Entry{when, seq, std::move(fn)});
             siftUp(_heap.size() - 1);
         } else {
-            _wheel.insert(
-                _now, WheelEntry{when, WheelEntry::packSeq(seq, false),
-                                 std::move(fn)});
+            _wheel.insert(_now, WheelEntry{when, seq, std::move(fn)});
         }
-    }
-
-    /**
-     * Like scheduleAt(), but returns the entry's sequence number (its
-     * FIFO tie-break rank) so the caller can retarget it later with
-     * reschedule(). Does NOT notify the schedule observer: the only
-     * caller is the express path scheduling its own coalesced arrival,
-     * which must not cancel itself.
-     */
-    std::uint64_t
-    scheduleAtTagged(Cycle when, EventFn fn)
-    {
-        assert(when >= _now && "cannot schedule into the past");
-        if (when > _maxScheduledAt)
-            _maxScheduledAt = when;
-        const std::uint64_t seq = _nextSeq++;
-        if (_impl == Impl::Heap) {
-            _heap.push_back(Entry{when, seq, std::move(fn)});
-            siftUp(_heap.size() - 1);
-        } else {
-            _wheel.insert(
-                _now, WheelEntry{when, WheelEntry::packSeq(seq, true),
-                                 std::move(fn)});
-        }
-        return seq;
     }
 
     /**
@@ -192,34 +159,6 @@ class EventQueue
         if (_impl == Impl::Heap)
             return _heap.empty() ? kNoEvent : _heap.front().when;
         return _wheel.empty() ? kNoEvent : _wheel.minPending();
-    }
-
-    /**
-     * Retarget the pending entry with sequence number @p seq (from
-     * scheduleAtTagged) to fire @p when running @p fn instead. The
-     * entry keeps its original sequence number, so its tie-break rank
-     * against same-cycle events is exactly what the original
-     * scheduling call order dictated — this is what makes an express
-     * plan's same-cycle fall-back bit-identical to the per-hop path.
-     *
-     * O(1) under the wheel (seq->slot index); O(pending) scan under
-     * the reference heap. Rescheduling a seq that is not pending is a
-     * Debug-build assertion failure.
-     */
-    void reschedule(std::uint64_t seq, Cycle when, EventFn fn);
-
-    /**
-     * Observer invoked (with @p ctx) for every scheduleAt() before the
-     * entry is inserted. Used by the express path to detect same-cycle
-     * interference with an active plan. A raw function pointer keeps
-     * the common (unobserved) path to one predictable branch.
-     */
-    using ScheduleObserver = void (*)(void *ctx, Cycle when);
-    void
-    setScheduleObserver(ScheduleObserver obs, void *ctx)
-    {
-        _observer = obs;
-        _observerCtx = ctx;
     }
 
     /**
@@ -237,9 +176,8 @@ class EventQueue
      * and before the crossing event fires. The hook observes — it must
      * not schedule events or touch machine state — so telemetry never
      * perturbs the schedule: no sampler events sit in the queue to
-     * stretch the drain tail that run() measures, and nothing extra
-     * passes through the schedule observer. Disabled (the default)
-     * it costs one never-taken compare per event.
+     * stretch the drain tail that run() measures. Disabled (the
+     * default) it costs one never-taken compare per event.
      */
     using SampleHook = void (*)(void *ctx, Cycle now);
     void
@@ -302,14 +240,6 @@ class EventQueue
      *  the heap implementation. */
     const TimingWheel &wheel() const { return _wheel; }
 
-    /** Sample the horizon histogram on every schedule (off by default;
-     *  also enabled by the FLEXSNOOP_QUEUE_STATS environment var). */
-    void
-    enableHorizonHistogram(bool on)
-    {
-        _wheel.enableHorizonHistogram(on);
-    }
-
   private:
     /** Heap entry (reference implementation). */
     struct Entry
@@ -348,8 +278,6 @@ class EventQueue
     Cycle _now = 0;
     std::uint64_t _nextSeq = 0;
     std::uint64_t _executed = 0;
-    ScheduleObserver _observer = nullptr;
-    void *_observerCtx = nullptr;
     Cycle _maxScheduledAt = 0; ///< furthest cycle ever scheduled
     Cycle _nextSampleAt = kNoEvent; ///< kNoEvent = sampling disarmed
     Cycle _sampleInterval = 0;

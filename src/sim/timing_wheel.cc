@@ -100,49 +100,24 @@ TimingWheel::resetTo(Cycle now)
             1;
 }
 
-TimingWheel::Bucket &
-TimingWheel::bucketAt(const Loc &loc)
-{
-    if (loc.level == 0)
-        return _near[loc.slot];
-    if (loc.level == kFarLevel)
-        return _far;
-    return _over[loc.level - 1][loc.slot];
-}
-
 void
 TimingWheel::insertSorted(Bucket &bucket, std::uint8_t level,
-                          std::uint16_t slot, WheelEntry &&entry)
+                          std::size_t slot, WheelEntry &&entry)
 {
     if (level == 0)
         setBit(_nearMap, slot);
     else if (level != kFarLevel)
         setBit(_overMap[level - 1], slot);
 
-    // Entries already fired out of the current near bucket must stay
-    // ahead of any (re)insertion, whatever its seq.
-    const std::size_t floor =
-        (level == 0 && slot == _curSlot) ? _head : 0;
+    // Fresh inserts carry the newest seq and append; a cascade re-files
+    // older seqs, which walk back from the tail.
     std::size_t pos = bucket.size();
-    while (pos > floor && bucket[pos - 1].seqTag > entry.seqTag)
+    while (pos > 0 && bucket[pos - 1].seq > entry.seq)
         --pos;
-
-    const bool tagged = entry.tagged();
-    const std::uint64_t seq = entry.seq();
-    if (pos == bucket.size()) {
+    if (pos == bucket.size())
         bucket.push_back(std::move(entry));
-    } else {
-        // Rare: only a rescheduled (old-seq) entry lands mid-bucket.
+    else
         bucket.insert(bucket.begin() + pos, std::move(entry));
-        for (std::size_t i = pos + 1; i < bucket.size(); ++i) {
-            if (bucket[i].tagged())
-                _tagged.find(bucket[i].seq())->pos =
-                    static_cast<std::uint32_t>(i);
-        }
-    }
-    if (tagged)
-        _tagged.put(seq, Loc{level, slot,
-                             static_cast<std::uint32_t>(pos)});
     if (bucket.size() > _maxBucketDepth)
         _maxBucketDepth = bucket.size();
 }
@@ -154,8 +129,7 @@ TimingWheel::place(WheelEntry &&entry)
     assert(when >= _w0 + _curSlot);
 
     if ((when >> _nearBits) == (_w0 >> _nearBits)) {
-        const auto slot =
-            static_cast<std::uint16_t>(when & _nearMask);
+        const auto slot = static_cast<std::size_t>(when & _nearMask);
         insertSorted(_near[slot], 0, slot, std::move(entry));
         return 0;
     }
@@ -163,7 +137,7 @@ TimingWheel::place(WheelEntry &&entry)
         const unsigned g = granShift(l);
         if ((when >> (g + kOverflowBits)) ==
             (_w0 >> (g + kOverflowBits))) {
-            const auto slot = static_cast<std::uint16_t>(
+            const auto slot = static_cast<std::size_t>(
                 (when >> g) & (kOverflowSlots - 1));
             insertSorted(_over[l - 1][slot],
                          static_cast<std::uint8_t>(l), slot,
@@ -185,11 +159,6 @@ TimingWheel::insert(Cycle now, WheelEntry entry)
         _minValid = true;
     } else if (_minValid && entry.when < _minCached) {
         _minCached = entry.when;
-    }
-    if (_sampleHorizon) {
-        const auto w = static_cast<std::size_t>(
-            std::bit_width(entry.when - now));
-        ++_horizon[w < kHorizonBuckets ? w : kHorizonBuckets - 1];
     }
     const std::uint8_t level = place(std::move(entry));
     if (level != 0) {
@@ -308,8 +277,6 @@ TimingWheel::pop()
     assert(entry.when == _w0 + _curSlot);
     ++_head;
     --_size;
-    if (entry.tagged())
-        _tagged.erase(entry.seq());
     if (_head < bucket.size()) {
         _minCached = entry.when;
         _minValid = true;
@@ -367,51 +334,6 @@ TimingWheel::recomputeMin() const
     return min_when;
 }
 
-bool
-TimingWheel::reschedule(std::uint64_t seq, Cycle now, Cycle when,
-                        EventFn fn)
-{
-    Loc *lp = _tagged.find(seq);
-    if (!lp)
-        return false;
-    const Loc loc = *lp;
-    Bucket &bucket = bucketAt(loc);
-    assert(loc.pos < bucket.size());
-    WheelEntry entry = std::move(bucket[loc.pos]);
-    assert(entry.seq() == seq && entry.tagged());
-
-    bucket.erase(bucket.begin() + loc.pos);
-    for (std::size_t i = loc.pos; i < bucket.size(); ++i) {
-        if (bucket[i].tagged())
-            _tagged.find(bucket[i].seq())->pos =
-                static_cast<std::uint32_t>(i);
-    }
-    if (bucket.empty()) {
-        // Keep the current near bucket's bit for advanceToPending to
-        // retire; every other emptied bucket must drop its occupancy
-        // bit or scans would land on it.
-        if (loc.level == 0) {
-            if (loc.slot != _curSlot)
-                clrBit(_nearMap, loc.slot);
-        } else if (loc.level != kFarLevel) {
-            clrBit(_overMap[loc.level - 1], loc.slot);
-        }
-    }
-    _tagged.erase(seq);
-
-    entry.when = when;
-    entry.fn = std::move(fn);
-    if (_size == 1) {
-        // The wheel is structurally empty now; re-anchor tight.
-        --_size;
-        resetTo(now);
-        ++_size;
-    }
-    place(std::move(entry));
-    _minValid = false;
-    return true;
-}
-
 void
 TimingWheel::clear()
 {
@@ -429,7 +351,6 @@ TimingWheel::clear()
     _curSlot = 0;
     _w0 = 0;
     _scan.fill(kOverflowSlots);
-    _tagged.clear();
     _minValid = false;
 }
 

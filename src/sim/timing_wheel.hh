@@ -14,10 +14,6 @@
  * Occupancy bitmaps per level make the "next non-empty bucket" scan a
  * handful of word operations, so draining across empty cycle stretches
  * costs O(horizon / 64) words instead of O(horizon) buckets.
- *
- * A seq->location index over *tagged* entries (the express path's
- * retirement events) makes reschedule() an O(1) lookup instead of the
- * heap's O(n) scan.
  */
 
 #ifndef FLEXSNOOP_SIM_TIMING_WHEEL_HH
@@ -29,7 +25,6 @@
 #include <vector>
 
 #include "sim/event_fn.hh"
-#include "sim/flat_map.hh"
 #include "sim/types.hh"
 
 namespace flexsnoop
@@ -39,20 +34,8 @@ namespace flexsnoop
 struct WheelEntry
 {
     Cycle when;
-    /** (seq << 1) | tagged. The tag rides in the low bit so the packed
-     *  word orders exactly as seq does (seqs are unique), keeping the
-     *  entry at 88 bytes — bucket traffic is the wheel's main cost. */
-    std::uint64_t seqTag;
+    std::uint64_t seq; ///< scheduling order: the same-cycle tie-break
     EventFn fn;
-
-    static std::uint64_t
-    packSeq(std::uint64_t seq, bool tagged)
-    {
-        return (seq << 1) | (tagged ? 1u : 0u);
-    }
-    std::uint64_t seq() const { return seqTag >> 1; }
-    /** Tracked in the seq->location index. */
-    bool tagged() const { return (seqTag & 1) != 0; }
 };
 
 class TimingWheel
@@ -95,15 +78,6 @@ class TimingWheel
      *  common case, a bitmap scan after a bucket drains. */
     Cycle minPending() const;
 
-    /**
-     * Retarget the pending *tagged* entry @p seq to fire at @p when
-     * running @p fn, keeping its sequence number (and therefore its
-     * FIFO rank against same-cycle events). O(1) index lookup plus an
-     * O(bucket) splice. @return false when no pending entry carries
-     * @p seq.
-     */
-    bool reschedule(std::uint64_t seq, Cycle now, Cycle when, EventFn fn);
-
     /** Drop all entries; bucket capacities are retained for reuse. */
     void clear();
 
@@ -120,27 +94,10 @@ class TimingWheel
     /** Inserts beyond even the last overflow level. */
     std::uint64_t farScheduled() const { return _farScheduled; }
 
-    /**
-     * Horizon histogram: bucket i counts inserts whose delay
-     * (when - now) had bit-width i (i.e. delay in [2^(i-1), 2^i)).
-     * Only sampled while enableHorizonHistogram(true); the extra work
-     * is kept off the default hot path.
-     */
-    static constexpr std::size_t kHorizonBuckets = 64;
-    using HorizonHistogram = std::array<std::uint64_t, kHorizonBuckets>;
-    void enableHorizonHistogram(bool on) { _sampleHorizon = on; }
-    const HorizonHistogram &horizonHistogram() const { return _horizon; }
-
   private:
     using Bucket = std::vector<WheelEntry>;
 
-    /** Where a tagged entry currently lives. */
-    struct Loc
-    {
-        std::uint8_t level;  ///< 0 near, 1..3 overflow, 4 far
-        std::uint16_t slot;  ///< bucket index within the level
-        std::uint32_t pos;   ///< position within the bucket
-    };
+    /** place()'s level number for the far list (0 near, 1..3 overflow). */
     static constexpr std::uint8_t kFarLevel = kOverflowLevels + 1;
 
     /** Granularity shift of overflow level @p l (1-based). */
@@ -150,18 +107,14 @@ class TimingWheel
         return _nearBits + kOverflowBits * static_cast<unsigned>(l - 1);
     }
 
-    Cycle nearWindowEnd() const { return _w0 + _nearSize; }
-
-    Bucket &bucketAt(const Loc &loc);
-
     /** File @p entry into the level its cycle belongs to, keeping the
      *  target bucket seq-sorted. Does not touch _size. @return the
      *  level chosen (0 near, 1..3 overflow, kFarLevel). */
     std::uint8_t place(WheelEntry &&entry);
 
     /** Seq-sorted insert into one bucket (append in the common case). */
-    void insertSorted(Bucket &bucket, std::uint8_t level,
-                      std::uint16_t slot, WheelEntry &&entry);
+    void insertSorted(Bucket &bucket, std::uint8_t level, std::size_t slot,
+                      WheelEntry &&entry);
 
     /** Advance _curSlot (cascading overflow levels and the far list as
      *  needed) until the current near bucket holds an unconsumed
@@ -207,8 +160,6 @@ class TimingWheel
 
     std::size_t _size = 0;
 
-    FlatMap<Loc> _tagged;
-
     mutable bool _minValid = false;
     mutable Cycle _minCached = 0;
 
@@ -217,8 +168,6 @@ class TimingWheel
     std::uint64_t _maxBucketDepth = 0;
     std::uint64_t _overflowScheduled = 0;
     std::uint64_t _farScheduled = 0;
-    bool _sampleHorizon = false;
-    HorizonHistogram _horizon{};
 };
 
 } // namespace flexsnoop

@@ -76,8 +76,8 @@ phaseAfter(const TraceRecord &r, Phase current)
       case TraceEvent::RetryScheduled: return Phase::Other;
       case TraceEvent::WatchdogExpire: return Phase::Other;
       default:
-        // Annotations (collisions, faults, express markers, ...) do
-        // not change what the transaction is waiting on.
+        // Annotations (collisions, faults, ...) do not change what
+        // the transaction is waiting on.
         return current;
     }
 }

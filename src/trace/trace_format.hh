@@ -70,8 +70,10 @@ enum class TraceEvent : std::uint16_t
                     ///< (a = 1 presence / 0 supplier predictor)
 
     // --- Simulator-level markers ---
-    ExpressRun,     ///< express path coalesced a hop chain (node = from,
-                    ///< arg0 = links virtualized, arg1 = retire cycle)
+    ExpressRun,     ///< retired: no longer emitted. The slot keeps
+                    ///< CounterSnapshot and MeasureStart at their
+                    ///< on-disk values (older captures: node = from,
+                    ///< arg0 = links coalesced, arg1 = retire cycle)
     CounterSnapshot,///< periodic StatGroup sample (a = TraceCounterId,
                     ///< arg0 = counter value)
     MeasureStart,   ///< warmup barrier: statistics were reset here

@@ -323,70 +323,6 @@ TEST_P(EventQueueImpl, DelaysSpanningEveryWheelLevel)
     EXPECT_EQ(fired, expect);
 }
 
-TEST_P(EventQueueImpl, RescheduleToLaterCycle)
-{
-    std::vector<int> order;
-    const std::uint64_t tag =
-        q.scheduleAtTagged(10, [&]() { order.push_back(0); });
-    q.schedule(20, [&]() { order.push_back(1); });
-    q.reschedule(tag, 30, [&]() { order.push_back(2); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{1, 2}));
-    EXPECT_EQ(q.now(), 30u);
-}
-
-TEST_P(EventQueueImpl, RescheduleToEarlierCycle)
-{
-    std::vector<int> order;
-    q.schedule(20, [&]() { order.push_back(1); });
-    const std::uint64_t tag =
-        q.scheduleAtTagged(500, [&]() { order.push_back(0); });
-    q.reschedule(tag, 5, [&]() { order.push_back(2); });
-    EXPECT_EQ(q.minPendingTime(), 5u);
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{2, 1}));
-    EXPECT_EQ(q.now(), 20u);
-}
-
-TEST_P(EventQueueImpl, RescheduleKeepsFifoRank)
-{
-    // The express path's correctness hinges on this: a rescheduled
-    // entry keeps its original sequence number, so when it lands on a
-    // cycle where other events already sit, it sorts by the original
-    // scheduling order — before later-scheduled events, after earlier
-    // ones.
-    std::vector<int> order;
-    q.schedule(40, [&]() { order.push_back(0); }); // seq 0
-    const std::uint64_t tag =
-        q.scheduleAtTagged(900, [&]() {});         // seq 1
-    q.schedule(40, [&]() { order.push_back(2); }); // seq 2
-    q.reschedule(tag, 40, [&]() { order.push_back(1); });
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-}
-
-TEST_P(EventQueueImpl, RescheduleAcrossWheelLevels)
-{
-    // Retarget between structurally different homes: near -> far,
-    // far -> near, overflow -> same cycle as a near neighbour.
-    std::vector<int> order;
-    const std::uint64_t a =
-        q.scheduleAtTagged(50, [&]() { order.push_back(-1); });
-    q.reschedule(a, 1ull << 30, [&]() { order.push_back(3); });
-
-    const std::uint64_t b =
-        q.scheduleAtTagged(1ull << 40, [&]() { order.push_back(-1); });
-    q.reschedule(b, 7, [&]() { order.push_back(0); });
-
-    q.schedule(100'000, [&]() { order.push_back(2); });
-    const std::uint64_t c =
-        q.scheduleAtTagged(5'000, [&]() { order.push_back(-1); });
-    q.reschedule(c, 60, [&]() { order.push_back(1); });
-
-    q.run();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3}));
-}
-
 TEST_P(EventQueueImpl, RunWithNoEventLimitDrainsEverything)
 {
     int fired = 0;
@@ -459,25 +395,6 @@ TEST(TimingWheelQueue, FarListBeyondLastOverflowLevel)
               (std::vector<Cycle>{5, far_delay, far_delay + 1}));
 }
 
-TEST(TimingWheelQueue, HorizonHistogramCountsByDelayBitWidth)
-{
-    EventQueue q(EventQueue::Impl::Wheel);
-    q.enableHorizonHistogram(true);
-    q.schedule(0, []() {});   // bit_width(0) = 0
-    q.schedule(1, []() {});   // 1
-    q.schedule(3, []() {});   // 2
-    q.schedule(200, []() {}); // 8
-    q.schedule(300, []() {}); // 9
-    q.schedule(511, []() {}); // 9
-    const auto &h = q.wheel().horizonHistogram();
-    EXPECT_EQ(h[0], 1u);
-    EXPECT_EQ(h[1], 1u);
-    EXPECT_EQ(h[2], 1u);
-    EXPECT_EQ(h[8], 1u);
-    EXPECT_EQ(h[9], 2u);
-    q.run();
-}
-
 // Differential: one script, both implementations, identical order -------
 
 /** Deterministic xorshift64* so the stress script is reproducible. */
@@ -525,45 +442,18 @@ TEST(QueueDifferential, WheelMatchesHeapOnRandomScript)
     Rng rng;
     std::uint64_t next_id = 0;
     for (int round = 0; round < 40; ++round) {
-        // Same script against both queues: a batch of schedules (some
-        // tagged), reschedules of this round's tags, then a partial
-        // drain. Both must observe identical state throughout.
+        // Same script against both queues: a batch of schedules, then
+        // a partial drain. Both must observe identical state throughout.
         const std::size_t batch = 4 + rng.pick(24);
-        std::vector<std::uint64_t> wheel_tags, heap_tags;
         for (std::size_t i = 0; i < batch; ++i) {
             const Cycle delay = draw_delay(rng);
             const std::uint64_t id = next_id++;
-            if (rng.pick(6) == 0) {
-                wheel_tags.push_back(wheel.scheduleAtTagged(
-                    wheel.now() + delay,
-                    [&wheel_order, id]() { wheel_order.push_back(id); }));
-                heap_tags.push_back(heap.scheduleAtTagged(
-                    heap.now() + delay,
-                    [&heap_order, id]() { heap_order.push_back(id); }));
-            } else {
-                wheel.schedule(delay, [&wheel_order, id]() {
-                    wheel_order.push_back(id);
-                });
-                heap.schedule(delay, [&heap_order, id]() {
-                    heap_order.push_back(id);
-                });
-            }
-        }
-        ASSERT_EQ(wheel_tags, heap_tags);
-
-        // Retarget half of this round's tagged entries (they are all
-        // still pending — nothing stepped since they were scheduled).
-        for (std::size_t i = 0; i < wheel_tags.size(); i += 2) {
-            const Cycle delay = draw_delay(rng);
-            const std::uint64_t id = next_id++;
-            wheel.reschedule(wheel_tags[i], wheel.now() + delay,
-                             [&wheel_order, id]() {
-                                 wheel_order.push_back(id);
-                             });
-            heap.reschedule(heap_tags[i], heap.now() + delay,
-                            [&heap_order, id]() {
-                                heap_order.push_back(id);
-                            });
+            wheel.schedule(delay, [&wheel_order, id]() {
+                wheel_order.push_back(id);
+            });
+            heap.schedule(delay, [&heap_order, id]() {
+                heap_order.push_back(id);
+            });
         }
 
         const std::size_t steps = rng.pick(2 * batch);

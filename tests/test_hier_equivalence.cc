@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/simulation.hh"
+#include "run_result_equality.hh"
 #include "workload/profile.hh"
 #include "workload/synthetic_generator.hh"
 
@@ -24,56 +25,6 @@ namespace flexsnoop
 {
 namespace
 {
-
-/** Every RunResult field, compared exactly (identical arithmetic on
- *  identical counters makes even the doubles bit-equal). */
-void
-expectIdentical(const RunResult &flat, const RunResult &degen)
-{
-    EXPECT_EQ(flat.execCycles, degen.execCycles);
-    EXPECT_EQ(flat.readRingRequests, degen.readRingRequests);
-    EXPECT_EQ(flat.readSnoops, degen.readSnoops);
-    EXPECT_EQ(flat.snoopsPerReadRequest, degen.snoopsPerReadRequest);
-    EXPECT_EQ(flat.readLinkMessages, degen.readLinkMessages);
-    EXPECT_EQ(flat.readLinkMessagesPerRequest,
-              degen.readLinkMessagesPerRequest);
-    EXPECT_EQ(flat.energyNj, degen.energyNj);
-    EXPECT_EQ(flat.ringEnergyNj, degen.ringEnergyNj);
-    EXPECT_EQ(flat.snoopEnergyNj, degen.snoopEnergyNj);
-    EXPECT_EQ(flat.predictorEnergyNj, degen.predictorEnergyNj);
-    EXPECT_EQ(flat.downgradeEnergyNj, degen.downgradeEnergyNj);
-    EXPECT_EQ(flat.truePositives, degen.truePositives);
-    EXPECT_EQ(flat.trueNegatives, degen.trueNegatives);
-    EXPECT_EQ(flat.falsePositives, degen.falsePositives);
-    EXPECT_EQ(flat.falseNegatives, degen.falseNegatives);
-    EXPECT_EQ(flat.writeRingRequests, degen.writeRingRequests);
-    EXPECT_EQ(flat.writeSnoops, degen.writeSnoops);
-    EXPECT_EQ(flat.writeFiltered, degen.writeFiltered);
-    EXPECT_EQ(flat.bridgeSkips, degen.bridgeSkips);
-    EXPECT_EQ(flat.bridgeDescends, degen.bridgeDescends);
-    EXPECT_EQ(flat.globalLinkMessages, degen.globalLinkMessages);
-    EXPECT_EQ(flat.cacheSupplies, degen.cacheSupplies);
-    EXPECT_EQ(flat.memoryFetches, degen.memoryFetches);
-    EXPECT_EQ(flat.downgrades, degen.downgrades);
-    EXPECT_EQ(flat.collisions, degen.collisions);
-    EXPECT_EQ(flat.retries, degen.retries);
-    EXPECT_EQ(flat.writebacks, degen.writebacks);
-    EXPECT_EQ(flat.avgReadLatency, degen.avgReadLatency);
-    EXPECT_EQ(flat.p50ReadLatency, degen.p50ReadLatency);
-    EXPECT_EQ(flat.p95ReadLatency, degen.p95ReadLatency);
-    EXPECT_EQ(flat.faultLinkDecisions, degen.faultLinkDecisions);
-    EXPECT_EQ(flat.faultDrops, degen.faultDrops);
-    EXPECT_EQ(flat.faultDups, degen.faultDups);
-    EXPECT_EQ(flat.faultDelays, degen.faultDelays);
-    EXPECT_EQ(flat.watchdogTimeouts, degen.watchdogTimeouts);
-    EXPECT_EQ(flat.staleMessagesAbsorbed, degen.staleMessagesAbsorbed);
-    EXPECT_EQ(flat.predictorFlipDegrades, degen.predictorFlipDegrades);
-
-    // The degenerate hierarchy has no bridges or global links at all.
-    EXPECT_EQ(degen.bridgeSkips, 0u);
-    EXPECT_EQ(degen.bridgeDescends, 0u);
-    EXPECT_EQ(degen.globalLinkMessages, 0u);
-}
 
 /** Shrink a built-in profile so the full matrix stays fast. */
 WorkloadProfile
@@ -94,7 +45,11 @@ runBothAndCompare(MachineConfig cfg, const CoreTraces &traces,
     cfg.topology.kind = TopologyKind::Hier;
     cfg.topology.localRings = 1; // degenerate: one local ring
     const RunResult degen = runSimulation(cfg, traces, name);
-    expectIdentical(flat, degen);
+    EXPECT_TRUE(identicalRuns(flat, degen));
+    // The degenerate hierarchy has no bridges or global links at all.
+    EXPECT_EQ(degen.bridgeSkips, 0u);
+    EXPECT_EQ(degen.bridgeDescends, 0u);
+    EXPECT_EQ(degen.globalLinkMessages, 0u);
 }
 
 class HierEquivalence : public ::testing::TestWithParam<Algorithm>

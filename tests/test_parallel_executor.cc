@@ -15,6 +15,7 @@
 
 #include "core/experiment.hh"
 #include "core/parallel_executor.hh"
+#include "run_result_equality.hh"
 
 namespace flexsnoop
 {
@@ -115,31 +116,6 @@ TEST(ParallelExecutor, StressManyBatches)
 
 // --- Parallel experiment entry points --------------------------------
 
-/** Field-by-field equality of two runs (exact, including doubles: the
- *  parallel path must replay the identical computation). */
-void
-expectIdentical(const RunResult &a, const RunResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.algorithm, b.algorithm);
-    EXPECT_EQ(a.predictor, b.predictor);
-    EXPECT_EQ(a.execCycles, b.execCycles);
-    EXPECT_EQ(a.readRingRequests, b.readRingRequests);
-    EXPECT_EQ(a.readSnoops, b.readSnoops);
-    EXPECT_EQ(a.readLinkMessages, b.readLinkMessages);
-    EXPECT_EQ(a.snoopsPerReadRequest, b.snoopsPerReadRequest);
-    EXPECT_EQ(a.energyNj, b.energyNj);
-    EXPECT_EQ(a.truePositives, b.truePositives);
-    EXPECT_EQ(a.falsePositives, b.falsePositives);
-    EXPECT_EQ(a.cacheSupplies, b.cacheSupplies);
-    EXPECT_EQ(a.memoryFetches, b.memoryFetches);
-    EXPECT_EQ(a.collisions, b.collisions);
-    EXPECT_EQ(a.retries, b.retries);
-    EXPECT_EQ(a.avgReadLatency, b.avgReadLatency);
-    EXPECT_EQ(a.p50ReadLatency, b.p50ReadLatency);
-    EXPECT_EQ(a.p95ReadLatency, b.p95ReadLatency);
-}
-
 WorkloadProfile
 testProfile()
 {
@@ -162,7 +138,7 @@ TEST(RunSweepParallel, BitIdenticalToSerialSweep)
     EXPECT_EQ(serial.workload, parallel.workload);
     ASSERT_EQ(serial.runs.size(), parallel.runs.size());
     for (std::size_t i = 0; i < serial.runs.size(); ++i)
-        expectIdentical(serial.runs[i], parallel.runs[i]);
+        EXPECT_TRUE(identicalRuns(serial.runs[i], parallel.runs[i]));
 }
 
 TEST(RunMatrix, MatchesPerProfileSerialSweeps)
@@ -182,8 +158,8 @@ TEST(RunMatrix, MatchesPerProfileSerialSweeps)
     ASSERT_EQ(matrix[0].runs.size(), algos.size());
     ASSERT_EQ(matrix[1].runs.size(), algos.size());
     for (std::size_t i = 0; i < algos.size(); ++i) {
-        expectIdentical(serial_a.runs[i], matrix[0].runs[i]);
-        expectIdentical(serial_b.runs[i], matrix[1].runs[i]);
+        EXPECT_TRUE(identicalRuns(serial_a.runs[i], matrix[0].runs[i]));
+        EXPECT_TRUE(identicalRuns(serial_b.runs[i], matrix[1].runs[i]));
     }
 }
 
@@ -196,7 +172,7 @@ TEST(RunSweepParallel, OverridePredictorAppliesInParallel)
         runSweepParallel(algos, profile, 4, "y512");
     ASSERT_EQ(parallel.runs.size(), 1u);
     EXPECT_EQ(parallel.runs[0].predictor, serial.runs[0].predictor);
-    expectIdentical(serial.runs[0], parallel.runs[0]);
+    EXPECT_TRUE(identicalRuns(serial.runs[0], parallel.runs[0]));
 }
 
 } // namespace

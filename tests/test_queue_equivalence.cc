@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/simulation.hh"
+#include "run_result_equality.hh"
 #include "trace/trace_reader.hh"
 #include "workload/core_model.hh"
 #include "workload/synthetic_generator.hh"
@@ -37,41 +38,6 @@ class HeapQueueEnv
     HeapQueueEnv &operator=(const HeapQueueEnv &) = delete;
 };
 
-/** Every RunResult field, compared exactly (identical arithmetic on
- *  identical counters makes even the doubles bit-equal). */
-void
-expectIdentical(const RunResult &wheel, const RunResult &heap)
-{
-    EXPECT_EQ(wheel.execCycles, heap.execCycles);
-    EXPECT_EQ(wheel.readRingRequests, heap.readRingRequests);
-    EXPECT_EQ(wheel.readSnoops, heap.readSnoops);
-    EXPECT_EQ(wheel.snoopsPerReadRequest, heap.snoopsPerReadRequest);
-    EXPECT_EQ(wheel.readLinkMessages, heap.readLinkMessages);
-    EXPECT_EQ(wheel.readLinkMessagesPerRequest,
-              heap.readLinkMessagesPerRequest);
-    EXPECT_EQ(wheel.energyNj, heap.energyNj);
-    EXPECT_EQ(wheel.ringEnergyNj, heap.ringEnergyNj);
-    EXPECT_EQ(wheel.snoopEnergyNj, heap.snoopEnergyNj);
-    EXPECT_EQ(wheel.predictorEnergyNj, heap.predictorEnergyNj);
-    EXPECT_EQ(wheel.downgradeEnergyNj, heap.downgradeEnergyNj);
-    EXPECT_EQ(wheel.truePositives, heap.truePositives);
-    EXPECT_EQ(wheel.trueNegatives, heap.trueNegatives);
-    EXPECT_EQ(wheel.falsePositives, heap.falsePositives);
-    EXPECT_EQ(wheel.falseNegatives, heap.falseNegatives);
-    EXPECT_EQ(wheel.writeRingRequests, heap.writeRingRequests);
-    EXPECT_EQ(wheel.writeSnoops, heap.writeSnoops);
-    EXPECT_EQ(wheel.writeFiltered, heap.writeFiltered);
-    EXPECT_EQ(wheel.cacheSupplies, heap.cacheSupplies);
-    EXPECT_EQ(wheel.memoryFetches, heap.memoryFetches);
-    EXPECT_EQ(wheel.downgrades, heap.downgrades);
-    EXPECT_EQ(wheel.collisions, heap.collisions);
-    EXPECT_EQ(wheel.retries, heap.retries);
-    EXPECT_EQ(wheel.writebacks, heap.writebacks);
-    EXPECT_EQ(wheel.avgReadLatency, heap.avgReadLatency);
-    EXPECT_EQ(wheel.p50ReadLatency, heap.p50ReadLatency);
-    EXPECT_EQ(wheel.p95ReadLatency, heap.p95ReadLatency);
-}
-
 void
 runBothAndCompare(const MachineConfig &cfg, const CoreTraces &traces,
                   const std::string &name)
@@ -83,7 +49,7 @@ runBothAndCompare(const MachineConfig &cfg, const CoreTraces &traces,
         HeapQueueEnv env;
         heap = runSimulation(cfg, traces, name);
     }
-    expectIdentical(wheel, heap);
+    EXPECT_TRUE(identicalRuns(wheel, heap));
 }
 
 /** Shrink a built-in profile so the full matrix stays fast. */

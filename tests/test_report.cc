@@ -1,6 +1,7 @@
 /**
  * @file
- * Unit tests for the CSV/JSON result exporters.
+ * Unit tests for the CSV/JSON result exporters and the shared RunResult
+ * comparison (run_result_equality.hh).
  */
 
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <sstream>
 
 #include "core/report.hh"
+#include "run_result_equality.hh"
 
 namespace flexsnoop
 {
@@ -141,6 +143,23 @@ TEST(Report, CsvRoundTripPreservesEveryField)
     EXPECT_EQ(l.retryStormAborts, r.retryStormAborts);
     EXPECT_FALSE(l.failed);
     EXPECT_TRUE(l.error.empty());
+}
+
+TEST(RunResultEquality, NamesTheFirstDifferingField)
+{
+    const RunResult a = sampleResult();
+    RunResult b = a;
+    EXPECT_TRUE(identicalRuns(a, b));
+
+    b.globalLinkMessages = 7;
+    b.retryStormAborts = 1;
+    const ::testing::AssertionResult diff = identicalRuns(a, b);
+    EXPECT_FALSE(diff);
+    const std::string msg = diff.message();
+    EXPECT_NE(msg.find("RunResult.globalLinkMessages differs: 0 vs 7"),
+              std::string::npos)
+        << msg;
+    EXPECT_EQ(msg.find("retryStormAborts"), std::string::npos) << msg;
 }
 
 TEST(Report, FailedCellRoundTripsWithSanitizedError)

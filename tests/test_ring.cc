@@ -233,48 +233,5 @@ TEST(Ring, BackToBackSendsSpacedByExactlySerialization)
         EXPECT_EQ(arrivals[i] - arrivals[i - 1], 8u);
 }
 
-TEST(Ring, VirtualTraversalOccupiesLinkLikeSend)
-{
-    EventQueue queue;
-    RingParams params;
-    params.linkLatency = 10;
-    params.serialization = 6;
-    Ring ring(queue, 4, params, "r");
-    Cycle arrival = 0;
-    ring.setHandler(1,
-                    [&](const SnoopMessage &) { arrival = queue.now(); });
-
-    // The express path accounts a coalesced hop at cycle 20 without an
-    // event; a later real send at cycle 0 must queue behind it exactly
-    // as if send() had run at 20.
-    EXPECT_EQ(ring.linkFreeAt(0), 0u);
-    ring.recordVirtualTraversal(0, 20);
-    EXPECT_EQ(ring.linkFreeAt(0), 26u);
-    EXPECT_EQ(ring.linkTraversals(), 1u);
-
-    ring.send(0, makeMsg(1, 0, 0));
-    queue.run();
-    EXPECT_EQ(arrival, 36u); // started at 26 (busy link), +latency 10
-    EXPECT_EQ(ring.linkTraversals(), 2u);
-}
-
-TEST(Ring, DeliverInvokesHandlerSynchronously)
-{
-    EventQueue queue;
-    Ring ring(queue, 4, RingParams{}, "r");
-    NodeId got = kInvalidNode;
-    TransactionId txn = 0;
-    for (NodeId n = 0; n < 4; ++n) {
-        ring.setHandler(n, [&, n](const SnoopMessage &m) {
-            got = n;
-            txn = m.txn;
-        });
-    }
-    ring.deliver(2, makeMsg(77, 0, 0));
-    EXPECT_EQ(got, 2u);       // no event was scheduled
-    EXPECT_EQ(txn, 77u);
-    EXPECT_EQ(queue.pending(), 0u);
-}
-
 } // namespace
 } // namespace flexsnoop

@@ -23,6 +23,7 @@
 
 #include "core/experiment.hh"
 #include "core/simulation.hh"
+#include "run_result_equality.hh"
 #include "telemetry/metrics_reader.hh"
 #include "trace/trace_reader.hh"
 #include "workload/synthetic_generator.hh"
@@ -31,46 +32,6 @@ namespace flexsnoop
 {
 namespace
 {
-
-/** Every RunResult field, compared exactly (identical arithmetic on
- *  identical counters makes even the doubles bit-equal). */
-void
-expectIdentical(const RunResult &off, const RunResult &on)
-{
-    EXPECT_EQ(off.execCycles, on.execCycles);
-    EXPECT_EQ(off.readRingRequests, on.readRingRequests);
-    EXPECT_EQ(off.readSnoops, on.readSnoops);
-    EXPECT_EQ(off.snoopsPerReadRequest, on.snoopsPerReadRequest);
-    EXPECT_EQ(off.readLinkMessages, on.readLinkMessages);
-    EXPECT_EQ(off.readLinkMessagesPerRequest,
-              on.readLinkMessagesPerRequest);
-    EXPECT_EQ(off.energyNj, on.energyNj);
-    EXPECT_EQ(off.ringEnergyNj, on.ringEnergyNj);
-    EXPECT_EQ(off.snoopEnergyNj, on.snoopEnergyNj);
-    EXPECT_EQ(off.predictorEnergyNj, on.predictorEnergyNj);
-    EXPECT_EQ(off.downgradeEnergyNj, on.downgradeEnergyNj);
-    EXPECT_EQ(off.truePositives, on.truePositives);
-    EXPECT_EQ(off.trueNegatives, on.trueNegatives);
-    EXPECT_EQ(off.falsePositives, on.falsePositives);
-    EXPECT_EQ(off.falseNegatives, on.falseNegatives);
-    EXPECT_EQ(off.writeRingRequests, on.writeRingRequests);
-    EXPECT_EQ(off.writeSnoops, on.writeSnoops);
-    EXPECT_EQ(off.writeFiltered, on.writeFiltered);
-    EXPECT_EQ(off.bridgeSkips, on.bridgeSkips);
-    EXPECT_EQ(off.bridgeDescends, on.bridgeDescends);
-    EXPECT_EQ(off.globalLinkMessages, on.globalLinkMessages);
-    EXPECT_EQ(off.cacheSupplies, on.cacheSupplies);
-    EXPECT_EQ(off.memoryFetches, on.memoryFetches);
-    EXPECT_EQ(off.downgrades, on.downgrades);
-    EXPECT_EQ(off.collisions, on.collisions);
-    EXPECT_EQ(off.retries, on.retries);
-    EXPECT_EQ(off.writebacks, on.writebacks);
-    EXPECT_EQ(off.avgReadLatency, on.avgReadLatency);
-    EXPECT_EQ(off.p50ReadLatency, on.p50ReadLatency);
-    EXPECT_EQ(off.p95ReadLatency, on.p95ReadLatency);
-    EXPECT_EQ(off.watchdogTimeouts, on.watchdogTimeouts);
-    EXPECT_EQ(off.retryStormAborts, on.retryStormAborts);
-}
 
 std::string
 readBytes(const std::string &path)
@@ -120,7 +81,7 @@ TEST_P(MetricsObserverEffect, SamplingPerturbsNothingOnAnyProfile)
         cfg.metrics.intervalCycles = 2000;
         const RunResult on = runSimulation(cfg, traces, profile.name);
 
-        expectIdentical(off, on);
+        EXPECT_TRUE(identicalRuns(off, on));
         const MetricsFile file = loadMetrics(path);
         EXPECT_GT(file.header.sampleCount, 0u)
             << "sampling must actually have happened";
@@ -250,7 +211,7 @@ TEST(MetricsDeterminism, ParallelSweepMatchesSerialByteForByte)
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_FALSE(serial[i].failed);
         EXPECT_FALSE(parallel[i].failed);
-        expectIdentical(serial[i], parallel[i]);
+        EXPECT_TRUE(identicalRuns(serial[i], parallel[i]));
         EXPECT_TRUE(readBytes(serial_cells[i].cfg.metrics.path) ==
                     readBytes(parallel_cells[i].cfg.metrics.path))
             << "cell " << i << " metrics diverged across jobs=1/jobs=2";

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit tests for trace persistence (binary save/load round trips and
- * malformed-input rejection).
+ * malformed-input rejection), plus the pinned on-disk event numbering
+ * of `.fstrace` captures.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +10,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "trace/trace_format.hh"
 #include "workload/synthetic_generator.hh"
 #include "workload/trace_io.hh"
 
@@ -205,6 +207,46 @@ TEST(TraceIo, ImplausibleRefCountRejected)
     const std::string msg = rejectionFor(data);
     EXPECT_NE(msg.find("implausible ref count"), std::string::npos)
         << msg;
+}
+
+TEST(TraceIo, FstraceEventNumbersArePinned)
+{
+    // A .fstrace record stores its TraceEvent as a number, and the
+    // reader accepts any file with the same kTraceVersion. Renumbering
+    // an enumerator would silently misdecode older captures, so a
+    // retired event keeps its slot (as ExpressRun does) and new events
+    // go just before NumEvents.
+    const auto num = [](TraceEvent e) {
+        return static_cast<unsigned>(e);
+    };
+    EXPECT_EQ(num(TraceEvent::Invalid), 0u);
+    EXPECT_EQ(num(TraceEvent::TxnStart), 1u);
+    EXPECT_EQ(num(TraceEvent::RingIssue), 2u);
+    EXPECT_EQ(num(TraceEvent::RingDone), 3u);
+    EXPECT_EQ(num(TraceEvent::MemFetch), 4u);
+    EXPECT_EQ(num(TraceEvent::MemData), 5u);
+    EXPECT_EQ(num(TraceEvent::DataDelivered), 6u);
+    EXPECT_EQ(num(TraceEvent::WriteComplete), 7u);
+    EXPECT_EQ(num(TraceEvent::TxnRetire), 8u);
+    EXPECT_EQ(num(TraceEvent::RetryScheduled), 9u);
+    EXPECT_EQ(num(TraceEvent::Hop), 10u);
+    EXPECT_EQ(num(TraceEvent::HopDecision), 11u);
+    EXPECT_EQ(num(TraceEvent::GateDefer), 12u);
+    EXPECT_EQ(num(TraceEvent::GateResume), 13u);
+    EXPECT_EQ(num(TraceEvent::SnoopDone), 14u);
+    EXPECT_EQ(num(TraceEvent::SupplierHit), 15u);
+    EXPECT_EQ(num(TraceEvent::Collision), 16u);
+    EXPECT_EQ(num(TraceEvent::IncompleteRejected), 17u);
+    EXPECT_EQ(num(TraceEvent::StaleAbsorbed), 18u);
+    EXPECT_EQ(num(TraceEvent::WatchdogExpire), 19u);
+    EXPECT_EQ(num(TraceEvent::FaultDrop), 20u);
+    EXPECT_EQ(num(TraceEvent::FaultDup), 21u);
+    EXPECT_EQ(num(TraceEvent::FaultDelay), 22u);
+    EXPECT_EQ(num(TraceEvent::PredictorFlip), 23u);
+    EXPECT_EQ(num(TraceEvent::ExpressRun), 24u);
+    EXPECT_EQ(num(TraceEvent::CounterSnapshot), 25u);
+    EXPECT_EQ(num(TraceEvent::MeasureStart), 26u);
+    EXPECT_EQ(num(TraceEvent::NumEvents), 27u);
 }
 
 } // namespace

@@ -22,6 +22,7 @@
 
 #include "core/parallel_executor.hh"
 #include "core/simulation.hh"
+#include "run_result_equality.hh"
 #include "trace/trace_analysis.hh"
 #include "trace/trace_reader.hh"
 #include "workload/synthetic_generator.hh"
@@ -30,41 +31,6 @@ namespace flexsnoop
 {
 namespace
 {
-
-/** Every RunResult field, compared exactly (identical arithmetic on
- *  identical counters makes even the doubles bit-equal). */
-void
-expectIdentical(const RunResult &off, const RunResult &on)
-{
-    EXPECT_EQ(off.execCycles, on.execCycles);
-    EXPECT_EQ(off.readRingRequests, on.readRingRequests);
-    EXPECT_EQ(off.readSnoops, on.readSnoops);
-    EXPECT_EQ(off.snoopsPerReadRequest, on.snoopsPerReadRequest);
-    EXPECT_EQ(off.readLinkMessages, on.readLinkMessages);
-    EXPECT_EQ(off.readLinkMessagesPerRequest,
-              on.readLinkMessagesPerRequest);
-    EXPECT_EQ(off.energyNj, on.energyNj);
-    EXPECT_EQ(off.ringEnergyNj, on.ringEnergyNj);
-    EXPECT_EQ(off.snoopEnergyNj, on.snoopEnergyNj);
-    EXPECT_EQ(off.predictorEnergyNj, on.predictorEnergyNj);
-    EXPECT_EQ(off.downgradeEnergyNj, on.downgradeEnergyNj);
-    EXPECT_EQ(off.truePositives, on.truePositives);
-    EXPECT_EQ(off.trueNegatives, on.trueNegatives);
-    EXPECT_EQ(off.falsePositives, on.falsePositives);
-    EXPECT_EQ(off.falseNegatives, on.falseNegatives);
-    EXPECT_EQ(off.writeRingRequests, on.writeRingRequests);
-    EXPECT_EQ(off.writeSnoops, on.writeSnoops);
-    EXPECT_EQ(off.writeFiltered, on.writeFiltered);
-    EXPECT_EQ(off.cacheSupplies, on.cacheSupplies);
-    EXPECT_EQ(off.memoryFetches, on.memoryFetches);
-    EXPECT_EQ(off.downgrades, on.downgrades);
-    EXPECT_EQ(off.collisions, on.collisions);
-    EXPECT_EQ(off.retries, on.retries);
-    EXPECT_EQ(off.writebacks, on.writebacks);
-    EXPECT_EQ(off.avgReadLatency, on.avgReadLatency);
-    EXPECT_EQ(off.p50ReadLatency, on.p50ReadLatency);
-    EXPECT_EQ(off.p95ReadLatency, on.p95ReadLatency);
-}
 
 std::string
 readBytes(const std::string &path)
@@ -106,7 +72,7 @@ TEST(TraceSubsystem, TracingDoesNotPerturbResults)
         f.cfg.trace.path = path;
         const RunResult traced =
             runSimulation(f.cfg, f.traces, f.workload);
-        expectIdentical(untraced, traced);
+        EXPECT_TRUE(identicalRuns(untraced, traced));
         std::remove(path.c_str());
     }
 }

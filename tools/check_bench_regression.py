@@ -4,9 +4,8 @@ baselines in bench/records/ and fail on performance regressions.
 
 Only machine-independent metrics gate the build:
 
-  * ``speedup_*`` (same-machine A/B ratios, e.g. wheel vs heap) and
-    ``wall_speedup_express`` must not drop by more than the threshold;
-  * ``event_reduction_ratio`` must not drop by more than the threshold;
+  * ``speedup_*`` (same-machine A/B ratios, e.g. wheel vs heap) must
+    not drop by more than the threshold;
   * ``events_per_txn_*`` are deterministic event counts and must not
     grow by more than the threshold;
   * ``results_identical`` must stay exactly 1.
@@ -38,8 +37,6 @@ GATING_RULES = [
     (re.compile(r"^results_identical$"), "exact"),
     (re.compile(r"^metrics_overhead_within_budget$"), "exact"),
     (re.compile(r"^speedup_.+"), "higher"),
-    (re.compile(r"^wall_speedup_"), "higher"),
-    (re.compile(r"^event_reduction_ratio$"), "higher"),
     (re.compile(r"^events_per_txn_"), "lower"),
 ]
 
