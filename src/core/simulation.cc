@@ -134,9 +134,11 @@ runSimulation(const MachineConfig &config, const CoreTraces &traces,
         const double wall_limit = config.guards.wallClockLimitSec;
         const auto wall_start = std::chrono::steady_clock::now();
         auto last = std::make_shared<std::uint64_t>(progressMetric(runner));
+        // Each queued check event owns the closure and the closure only
+        // refers to itself weakly, so the last event frees it.
         auto tick = std::make_shared<std::function<void()>>();
         *tick = [&machine, &runner, step, wall_limit, wall_start, last,
-                 tick]() {
+                 self = std::weak_ptr(tick)]() {
             if (runner.allDone() &&
                 machine.controller().outstanding() == 0)
                 return; // finished; stop rescheduling so the queue drains
@@ -163,7 +165,8 @@ runSimulation(const MachineConfig &config, const CoreTraces &traces,
                     oss.str(), describeStuckState(machine, runner));
             }
             *last = now_progress;
-            machine.queue().schedule(step, [tick]() { (*tick)(); });
+            machine.queue().schedule(step,
+                                     [tick = self.lock()]() { (*tick)(); });
         };
         machine.queue().schedule(step, [tick]() { (*tick)(); });
     }

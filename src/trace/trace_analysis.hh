@@ -9,8 +9,10 @@
 #ifndef FLEXSNOOP_TRACE_TRACE_ANALYSIS_HH
 #define FLEXSNOOP_TRACE_TRACE_ANALYSIS_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "trace/trace_format.hh"
@@ -58,19 +60,43 @@ struct TxnTimeline
     std::uint32_t hops = 0;    ///< ring link traversals
     std::uint32_t retries = 0; ///< squash / watchdog reissues
 
-    /** Indices into TraceFile::records, stable-sorted by cycle. */
-    std::vector<std::size_t> events;
+    /**
+     * Indices into TraceFile::records, stable-sorted by cycle (ties in
+     * capture order). Views the owning TraceAnalysis's index array.
+     */
+    std::span<const std::size_t> events;
 };
 
-/** Whole-trace view grouped by transaction. */
-struct TraceAnalysis
+/**
+ * Whole-trace view grouped by transaction. Every timeline's `events`
+ * views one index array owned here, so a TxnTimeline is valid only
+ * while its TraceAnalysis lives; the analysis is move-only, and a move
+ * keeps every view intact.
+ */
+class TraceAnalysis
 {
+  public:
+    TraceAnalysis() = default;
+    TraceAnalysis(TraceAnalysis &&) noexcept = default;
+    TraceAnalysis &operator=(TraceAnalysis &&) noexcept = default;
+    TraceAnalysis(const TraceAnalysis &) = delete;
+    TraceAnalysis &operator=(const TraceAnalysis &) = delete;
+
     std::vector<TxnTimeline> txns; ///< ordered by first appearance
 
     std::size_t completed() const;
+
+  private:
+    friend TraceAnalysis analyzeTrace(const TraceFile &file);
+
+    /** Every transaction's record indices, one segment per txn. */
+    std::vector<std::size_t> _events;
 };
 
-/** Group and sort a decoded trace into per-transaction timelines. */
+/**
+ * Group a decoded trace into per-transaction timelines: a counting
+ * sort of record indices by transaction (docs/TRACING.md, "Decoding").
+ */
 TraceAnalysis analyzeTrace(const TraceFile &file);
 
 /**

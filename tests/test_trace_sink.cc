@@ -2,16 +2,21 @@
  * @file
  * Unit tests for the trace capture layer (src/trace/): spec parsing,
  * the sink's drop/spill overflow modes and accounting, the snapshot
- * piggyback hook, and the file reader's validation.
+ * piggyback hook, the file reader's validation, and the lifetimes of
+ * the decoded views.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "trace/trace_analysis.hh"
 #include "trace/trace_reader.hh"
 #include "trace/trace_sink.hh"
 
@@ -234,6 +239,117 @@ TEST(TraceReader, RejectsBadMagicAndTruncation)
     }
     EXPECT_THROW(loadTrace(path), std::runtime_error);
     std::remove(path.c_str());
+}
+
+TEST(TraceReader, HeaderOnlyFileHasNoRecords)
+{
+    const std::string path = tempPath("header_only");
+    TraceConfig cfg;
+    cfg.path = path;
+    {
+        TraceSink sink(cfg, 4, 16);
+        sink.finish();
+    }
+    const TraceFile file = loadTrace(path);
+    EXPECT_EQ(file.header.numNodes, 4u);
+    EXPECT_EQ(file.header.recorded, 0u);
+    EXPECT_TRUE(file.records.empty());
+    std::remove(path.c_str());
+}
+
+TEST(TraceReader, RejectsFilesShorterThanAHeader)
+{
+    const std::string path = tempPath("short");
+    for (const std::size_t size : {std::size_t{0}, std::size_t{63}}) {
+        SCOPED_TRACE(size);
+        TraceFileHeader header;
+        std::memcpy(header.magic, kTraceMagic, sizeof(kTraceMagic));
+        {
+            std::ofstream os(path, std::ios::binary | std::ios::trunc);
+            os.write(reinterpret_cast<const char *>(&header),
+                     static_cast<std::streamsize>(size));
+        }
+        try {
+            loadTrace(path);
+            ADD_FAILURE() << "loaded a " << size << "-byte file";
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("too short for a header"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceReader, RecordsOutliveUnlinkAndMove)
+{
+    // flexbench deletes each capture right after loading it.
+    const std::string path = tempPath("unlinked");
+    TraceConfig cfg;
+    cfg.path = path;
+    cfg.snapshotCycles = 0;
+    {
+        TraceSink sink(cfg, 2, 2);
+        for (std::uint64_t i = 0; i < 100; ++i)
+            sink.record(TraceEvent::Hop, i, 1, i);
+    }
+    TraceFile loaded = loadTrace(path);
+    std::remove(path.c_str());
+    {
+        // A new file under the same name does not show through.
+        std::ofstream os(path, std::ios::binary);
+        os << std::string(4096, 'x');
+    }
+    const TraceFile file(std::move(loaded));
+    EXPECT_TRUE(loaded.records.empty());
+    ASSERT_EQ(file.records.size(), 100u);
+    for (std::uint64_t i = 0; i < 100; ++i)
+        EXPECT_EQ(file.records[i].arg0, i) << i;
+    std::remove(path.c_str());
+}
+
+static_assert(!std::is_copy_constructible_v<TraceFile> &&
+                  !std::is_copy_assignable_v<TraceFile>,
+              "records view storage only one TraceFile may own");
+static_assert(!std::is_copy_constructible_v<TraceAnalysis> &&
+                  !std::is_copy_assignable_v<TraceAnalysis>,
+              "timelines view an index array only one analysis may own");
+
+TEST(TraceAnalysisLifetime, MovedAnalysisResolvesTheSameRecords)
+{
+    std::vector<TraceRecord> records;
+    for (std::uint64_t i = 0; i < 60; ++i) {
+        TraceRecord r;
+        r.txn = 1 + i % 7;
+        r.cycle = 1000 - 3 * i + (i % 5); // mostly descending
+        r.arg0 = i;
+        r.type = static_cast<std::uint16_t>(TraceEvent::Hop);
+        records.push_back(r);
+    }
+    const TraceFile file(std::move(records));
+    TraceAnalysis first = analyzeTrace(file);
+    ASSERT_EQ(first.txns.size(), 7u);
+
+    std::vector<std::vector<const TraceRecord *>> want;
+    for (const TxnTimeline &t : first.txns) {
+        want.emplace_back();
+        for (const std::size_t idx : t.events)
+            want.back().push_back(&file.records[idx]);
+    }
+    const auto resolves = [&](const TraceAnalysis &a) {
+        ASSERT_EQ(a.txns.size(), want.size());
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            ASSERT_EQ(a.txns[i].events.size(), want[i].size());
+            for (std::size_t k = 0; k < want[i].size(); ++k)
+                EXPECT_EQ(&file.records[a.txns[i].events[k]], want[i][k]);
+        }
+    };
+
+    TraceAnalysis moved(std::move(first));
+    resolves(moved);
+    TraceAnalysis assigned;
+    assigned = std::move(moved);
+    resolves(assigned);
 }
 
 } // namespace

@@ -18,6 +18,7 @@
 #include <iterator>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/parallel_executor.hh"
@@ -164,9 +165,9 @@ TEST(TraceSubsystem, CriticalPathTableColumnsStaySeparated)
 {
     // One read whose phases run to 8-10 digits, as the total row's sums
     // do on a full-length run.
-    TraceFile file;
-    const auto rec = [&file](TraceEvent e, Cycle at, std::uint64_t arg1,
-                             std::uint16_t a = 0) {
+    std::vector<TraceRecord> records;
+    const auto rec = [&records](TraceEvent e, Cycle at,
+                                std::uint64_t arg1, std::uint16_t a = 0) {
         TraceRecord r;
         r.cycle = at;
         r.txn = 1;
@@ -175,7 +176,7 @@ TEST(TraceSubsystem, CriticalPathTableColumnsStaySeparated)
         r.type = static_cast<std::uint16_t>(e);
         r.node = 0;
         r.a = a;
-        file.records.push_back(r);
+        records.push_back(r);
     };
     rec(TraceEvent::TxnStart, 5, 0);
     rec(TraceEvent::RingIssue, 12345683, 0);
@@ -183,6 +184,7 @@ TEST(TraceSubsystem, CriticalPathTableColumnsStaySeparated)
     rec(TraceEvent::MemFetch, 500000000, 700000000);
     rec(TraceEvent::MemData, 1200000000, 0);
     rec(TraceEvent::DataDelivered, 1234567890, 1234567885, 1);
+    const TraceFile file(std::move(records));
 
     const TraceAnalysis analysis = analyzeTrace(file);
     ASSERT_EQ(analysis.completed(), 1u);
