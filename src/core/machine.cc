@@ -119,7 +119,7 @@ Machine::Machine(const MachineConfig &config)
         _ring->setTraceSink(_trace.get());
         _controller->setTraceSink(_trace.get());
         _trace->setSnapshotFn(
-            [this](Cycle cycle) { snapshotCounters(cycle); });
+            [this](Cycle) { snapshotCounters(); });
     }
 
     if (config.metrics.enabled()) {
@@ -231,11 +231,12 @@ Machine::registerMetricSeries()
 }
 
 void
-Machine::snapshotCounters(Cycle cycle)
+Machine::snapshotCounters()
 {
     const auto &s = _controller->stats();
+    const Cycle now = _queue.now();
     const auto rec = [&](TraceCounterId id, std::uint64_t value) {
-        _trace->record(TraceEvent::CounterSnapshot, cycle, 0, value, 0,
+        _trace->record(TraceEvent::CounterSnapshot, now, 0, value, 0,
                        kTraceNoNode, static_cast<std::uint16_t>(id));
     };
     rec(TraceCounterId::ReadRingRequests,

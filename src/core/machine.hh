@@ -102,8 +102,11 @@ class Machine
     std::uint64_t sumPredictorCounter(const std::string &name) const;
 
     /** CounterSnapshot hook: sample the controller's headline counters
-     *  into the trace (piggybacked on record(), never on the queue). */
-    void snapshotCounters(Cycle cycle);
+     *  into the trace (piggybacked on record(), never on the queue).
+     *  Stamped with the queue's current cycle, when the counters are
+     *  read: the triggering record may carry a later one (a Hop's link
+     *  start cycle waits out a busy link). */
+    void snapshotCounters();
 
     /** Register the standard series set on _metrics (docs/TELEMETRY.md)
      *  and arm the queue's sampling hook. */

@@ -3,9 +3,9 @@
  * Move-only callable wrapper used by the event scheduler.
  *
  * Lives in its own header so both scheduler implementations (the
- * hierarchical timing wheel in timing_wheel.hh and the reference binary
- * heap inside event_queue.cc) can store callables without pulling in
- * the full EventQueue interface.
+ * hierarchical timing wheel's slots in timing_wheel.hh and the
+ * reference binary heap inside event_queue.hh) can store callables
+ * without pulling in the full EventQueue interface.
  */
 
 #ifndef FLEXSNOOP_SIM_EVENT_FN_HH
@@ -42,15 +42,7 @@ class EventFn
                   std::is_invocable_r_v<void, std::decay_t<F> &>>>
     EventFn(F &&fn)
     {
-        using Fn = std::decay_t<F>;
-        if constexpr (fitsInline<Fn>()) {
-            ::new (static_cast<void *>(_storage)) Fn(std::forward<F>(fn));
-            _ops = &inlineOps<Fn>;
-        } else {
-            ::new (static_cast<void *>(_storage))
-                Fn *(new Fn(std::forward<F>(fn)));
-            _ops = &heapOps<Fn>;
-        }
+        emplace(std::forward<F>(fn));
     }
 
     EventFn(EventFn &&other) noexcept { moveFrom(std::move(other)); }
@@ -69,6 +61,37 @@ class EventFn
     EventFn &operator=(const EventFn &) = delete;
 
     ~EventFn() { destroy(); }
+
+    /**
+     * Build @p fn directly in this wrapper, destroying any callable it
+     * held. The timing wheel constructs each event this way in the
+     * slot it will run from, so the callable is never moved. An
+     * EventFn argument is moved in rather than wrapped.
+     */
+    template <typename F>
+    void
+    emplace(F &&fn)
+    {
+        using Fn = std::decay_t<F>;
+        if constexpr (std::is_same_v<Fn, EventFn>) {
+            *this = std::forward<F>(fn);
+        } else {
+            static_assert(std::is_invocable_r_v<void, Fn &>);
+            destroy();
+            if constexpr (fitsInline<Fn>()) {
+                ::new (static_cast<void *>(_storage))
+                    Fn(std::forward<F>(fn));
+                _ops = &inlineOps<Fn>;
+            } else {
+                ::new (static_cast<void *>(_storage))
+                    Fn *(new Fn(std::forward<F>(fn)));
+                _ops = &heapOps<Fn>;
+            }
+        }
+    }
+
+    /** Destroy the held callable, leaving the wrapper empty. */
+    void reset() noexcept { destroy(); }
 
     explicit operator bool() const noexcept { return _ops != nullptr; }
 

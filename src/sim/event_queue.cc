@@ -105,8 +105,9 @@ EventQueue::run(Cycle limit)
 void
 EventQueue::clear()
 {
-    // clear() keeps bucket/heap capacity: an EventQueue reused between
-    // experiment repetitions schedules into already-hot storage.
+    // clear() keeps the wheel's slots and the heap's capacity: an
+    // EventQueue reused between experiment repetitions schedules into
+    // already-hot storage.
     if (_impl == Impl::Heap)
         _heap.clear();
     else

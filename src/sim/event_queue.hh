@@ -20,10 +20,11 @@
  * and every .fstrace byte — is identical under either implementation.
  *
  * The kernel is allocation-light: callables up to EventFn::kInlineSize
- * bytes (every lambda the simulator schedules today) are stored inline
- * in the entry, and bucket/heap storage keeps its capacity across pops
- * and clear()/run cycles, so steady-state operation performs no heap
- * allocation per event.
+ * bytes (every lambda the simulator schedules today) are stored inline.
+ * The wheel builds each callable once, in a pooled slot it links into
+ * its buckets, and runs it there; slots are recycled after dispatch and
+ * by clear(), and the heap's vector keeps its capacity, so steady-state
+ * operation performs no heap allocation per event.
  */
 
 #ifndef FLEXSNOOP_SIM_EVENT_QUEUE_HH
@@ -126,26 +127,42 @@ class EventQueue
      * A delay of zero is legal: the event runs after all events already
      * scheduled for the current cycle.
      */
+    template <typename F>
     void
-    schedule(Cycle delay, EventFn fn)
+    schedule(Cycle delay, F &&fn)
     {
-        scheduleAt(_now + delay, std::move(fn));
+        scheduleAt(_now + delay, std::forward<F>(fn));
     }
 
-    /** Schedule @p fn at the absolute cycle @p when (>= now). */
+    /**
+     * Schedule @p fn at the absolute cycle @p when (>= now). Under the
+     * wheel the callable is constructed directly in the slot it will
+     * run from.
+     */
+    template <typename F>
     void
-    scheduleAt(Cycle when, EventFn fn)
+    scheduleAt(Cycle when, F &&fn)
     {
         assert(when >= _now && "cannot schedule into the past");
-        if (when > _maxScheduledAt)
-            _maxScheduledAt = when;
-        const std::uint64_t seq = _nextSeq++;
         if (_impl == Impl::Heap) {
-            _heap.push_back(Entry{when, seq, std::move(fn)});
+            _heap.push_back(
+                Entry{when, _nextSeq, EventFn(std::forward<F>(fn))});
             siftUp(_heap.size() - 1);
         } else {
-            _wheel.insert(_now, WheelEntry{when, seq, std::move(fn)});
+            WheelSlot *slot = _wheel.acquire();
+            try {
+                slot->fn.emplace(std::forward<F>(fn));
+            } catch (...) {
+                _wheel.recycle(slot);
+                throw;
+            }
+            slot->when = when;
+            slot->seq = _nextSeq;
+            _wheel.link(_now, slot);
         }
+        ++_nextSeq;
+        if (when > _maxScheduledAt)
+            _maxScheduledAt = when;
     }
 
     /**
@@ -208,26 +225,31 @@ class EventQueue
         }
         if (_wheel.empty())
             return false;
-        WheelEntry entry = _wheel.pop();
-        assert(entry.when >= _now);
-        _now = entry.when;
+        // The slot runs where it sits and is recycled however dispatch
+        // ends, so an event that throws still destroys its callable
+        // and returns its slot.
+        const SlotRecycler recycler{_wheel, _wheel.unlinkFront()};
+        WheelSlot &slot = *recycler.slot;
+        assert(slot.when >= _now);
+        _now = slot.when;
         if (_now >= _nextSampleAt) [[unlikely]]
             fireSampleHook();
         ++_executed;
-        entry.fn();
+        slot.fn();
         return true;
     }
 
     /**
-     * Drop all pending events (used between experiment repetitions).
-     * The entry storage is retained for reuse.
+     * Drop all pending events (used between experiment repetitions),
+     * destroying their callables. The wheel's slots and the heap's
+     * storage are retained for reuse.
      */
     void clear();
 
     /**
      * Reserve storage for @p events pending events. Meaningful for the
-     * heap; the wheel's buckets grow on first use and keep their
-     * capacity, so it reaches the same steady state on its own.
+     * heap; the wheel's slot pool grows in chunks on first use and
+     * keeps them, so it reaches the same steady state on its own.
      */
     void
     reserve(std::size_t events)
@@ -241,6 +263,18 @@ class EventQueue
     const TimingWheel &wheel() const { return _wheel; }
 
   private:
+    /** Scope guard that recycles a dispatched wheel slot. */
+    struct SlotRecycler
+    {
+        SlotRecycler(TimingWheel &w, WheelSlot *s) : wheel(w), slot(s) {}
+        SlotRecycler(const SlotRecycler &) = delete;
+        SlotRecycler &operator=(const SlotRecycler &) = delete;
+        ~SlotRecycler() { wheel.recycle(slot); }
+
+        TimingWheel &wheel;
+        WheelSlot *slot;
+    };
+
     /** Heap entry (reference implementation). */
     struct Entry
     {

@@ -43,26 +43,12 @@ TimingWheel::configure(std::size_t near_buckets)
     _nearSize = n;
     _nearMask = n - 1;
     _nearBits = static_cast<unsigned>(std::countr_zero(n));
-    _near.clear();
-    _near.resize(n);
+    _near.assign(n, SlotList{});
     _nearMap.assign(n / 64, 0);
     _w0 = 0;
     _curSlot = 0;
-    _head = 0;
     _scan.fill(kOverflowSlots);
     _minValid = false;
-}
-
-void
-TimingWheel::setBit(std::vector<std::uint64_t> &bm, std::size_t i)
-{
-    bm[i >> 6] |= std::uint64_t{1} << (i & 63);
-}
-
-void
-TimingWheel::clrBit(std::vector<std::uint64_t> &bm, std::size_t i)
-{
-    bm[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
 }
 
 std::size_t
@@ -84,12 +70,36 @@ TimingWheel::scanFrom(const std::vector<std::uint64_t> &bm,
 }
 
 void
+TimingWheel::SlotList::insertSorted(WheelSlot *slot)
+{
+    // Fresh links carry the newest seq and append; a relink can only
+    // meet newer seqs if a bucket it lands in was already occupied.
+    if (!tail || tail->seq < slot->seq) {
+        append(slot);
+        return;
+    }
+    WheelSlot **pos = &head;
+    while ((*pos)->seq < slot->seq)
+        pos = &(*pos)->next;
+    slot->next = *pos;
+    *pos = slot;
+}
+
+Cycle
+TimingWheel::SlotList::minWhen() const
+{
+    assert(head);
+    Cycle min_when = head->when;
+    for (const WheelSlot *s = head->next; s; s = s->next)
+        min_when = s->when < min_when ? s->when : min_when;
+    return min_when;
+}
+
+void
 TimingWheel::resetTo(Cycle now)
 {
-    assert(_size == 0);
     _w0 = now & ~static_cast<Cycle>(_nearMask);
     _curSlot = static_cast<std::size_t>(now & _nearMask);
-    _head = 0;
     // The overflow bucket containing `now` at each level can never be
     // occupied (any cycle inside it is also inside a lower level's
     // window), so scanning may safely start one past it.
@@ -100,73 +110,53 @@ TimingWheel::resetTo(Cycle now)
             1;
 }
 
-void
-TimingWheel::insertSorted(Bucket &bucket, std::uint8_t level,
-                          std::size_t slot, WheelEntry &&entry)
-{
-    if (level == 0)
-        setBit(_nearMap, slot);
-    else if (level != kFarLevel)
-        setBit(_overMap[level - 1], slot);
-
-    // Fresh inserts carry the newest seq and append; a cascade re-files
-    // older seqs, which walk back from the tail.
-    std::size_t pos = bucket.size();
-    while (pos > 0 && bucket[pos - 1].seq > entry.seq)
-        --pos;
-    if (pos == bucket.size())
-        bucket.push_back(std::move(entry));
-    else
-        bucket.insert(bucket.begin() + pos, std::move(entry));
-    if (bucket.size() > _maxBucketDepth)
-        _maxBucketDepth = bucket.size();
-}
-
 std::uint8_t
-TimingWheel::place(WheelEntry &&entry)
+TimingWheel::place(WheelSlot *slot)
 {
-    const Cycle when = entry.when;
+    const Cycle when = slot->when;
     assert(when >= _w0 + _curSlot);
 
     if ((when >> _nearBits) == (_w0 >> _nearBits)) {
-        const auto slot = static_cast<std::size_t>(when & _nearMask);
-        insertSorted(_near[slot], 0, slot, std::move(entry));
+        const auto b = static_cast<std::size_t>(when & _nearMask);
+        setBit(_nearMap, b);
+        _near[b].insertSorted(slot);
         return 0;
     }
     for (std::size_t l = 1; l <= kOverflowLevels; ++l) {
         const unsigned g = granShift(l);
         if ((when >> (g + kOverflowBits)) ==
             (_w0 >> (g + kOverflowBits))) {
-            const auto slot = static_cast<std::size_t>(
+            const auto b = static_cast<std::size_t>(
                 (when >> g) & (kOverflowSlots - 1));
-            insertSorted(_over[l - 1][slot],
-                         static_cast<std::uint8_t>(l), slot,
-                         std::move(entry));
+            setBit(_overMap[l - 1], b);
+            _over[l - 1][b].insertSorted(slot);
             return static_cast<std::uint8_t>(l);
         }
     }
-    insertSorted(_far, kFarLevel, 0, std::move(entry));
+    _far.insertSorted(slot);
     return kFarLevel;
 }
 
 void
-TimingWheel::insert(Cycle now, WheelEntry entry)
+TimingWheel::linkOverflow(WheelSlot *slot)
 {
-    assert(entry.when >= now);
-    if (_size == 0) {
-        resetTo(now);
-        _minCached = entry.when;
-        _minValid = true;
-    } else if (_minValid && entry.when < _minCached) {
-        _minCached = entry.when;
+    ++_overflowScheduled;
+    if (place(slot) == kFarLevel)
+        ++_farScheduled;
+}
+
+void
+TimingWheel::relinkAll(SlotList list)
+{
+    ++_cascades;
+    // The list is seq-ordered, so each target bucket receives an
+    // in-order (appending) run.
+    for (WheelSlot *s = list.head; s;) {
+        WheelSlot *next = s->next;
+        place(s);
+        ++_cascadedEntries;
+        s = next;
     }
-    const std::uint8_t level = place(std::move(entry));
-    if (level != 0) {
-        ++_overflowScheduled;
-        if (level == kFarLevel)
-            ++_farScheduled;
-    }
-    ++_size;
 }
 
 bool
@@ -191,21 +181,11 @@ TimingWheel::refillFromOverflow()
         // windows begin at slot 0.
         _w0 = bucket_start;
         _curSlot = 0;
-        _head = 0;
         for (std::size_t j = 1; j < l; ++j)
             _scan[j - 1] = 0;
 
-        Bucket moved;
-        moved.swap(_over[l - 1][s]);
         clrBit(map, s);
-        ++_cascades;
-        _cascadedEntries += moved.size();
-        // Entries are seq-sorted, so each target bucket receives an
-        // in-order (appending) run.
-        for (auto &e : moved)
-            place(std::move(e));
-        moved.clear();
-        _over[l - 1][s] = std::move(moved); // hand the capacity back
+        relinkAll(std::exchange(_over[l - 1][s], SlotList{}));
         return true;
     }
     return false;
@@ -214,42 +194,18 @@ TimingWheel::refillFromOverflow()
 void
 TimingWheel::redistributeFar()
 {
-    assert(!_far.empty());
-    Cycle min_when = _far.front().when;
-    for (const WheelEntry &e : _far)
-        min_when = e.when < min_when ? e.when : min_when;
-
-    Bucket old;
-    old.swap(_far);
-    // Everything pending lives in `old`, so the wheel proper is empty
-    // and may be re-anchored at the earliest far cycle. At least that
-    // entry re-files into the near wheel; stragglers beyond the last
+    // Everything pending lives in the far list, so the wheel proper is
+    // empty and may be re-anchored at the earliest far cycle. At least
+    // that slot relinks into the near wheel; stragglers beyond the last
     // level return to the (fresh) far list in their original order.
-    _w0 = min_when & ~static_cast<Cycle>(_nearMask);
-    _curSlot = static_cast<std::size_t>(min_when & _nearMask);
-    _head = 0;
-    for (std::size_t l = 1; l <= kOverflowLevels; ++l)
-        _scan[l - 1] =
-            static_cast<std::size_t>((min_when >> granShift(l)) &
-                                     (kOverflowSlots - 1)) +
-            1;
-    ++_cascades;
-    _cascadedEntries += old.size();
-    for (auto &e : old)
-        place(std::move(e));
+    resetTo(_far.minWhen());
+    relinkAll(std::exchange(_far, SlotList{}));
 }
 
 bool
 TimingWheel::advanceToPending()
 {
-    while (true) {
-        Bucket &bucket = _near[_curSlot];
-        if (_head < bucket.size())
-            return true;
-        bucket.clear();
-        clrBit(_nearMap, _curSlot);
-        _head = 0;
-
+    while (!_near[_curSlot].head) {
         const std::size_t s =
             scanFrom(_nearMap, _curSlot + 1, _nearSize);
         if (s != kNotFound) {
@@ -258,38 +214,11 @@ TimingWheel::advanceToPending()
         }
         if (refillFromOverflow())
             continue;
-        if (_far.empty())
+        if (!_far.head)
             return false;
         redistributeFar();
     }
-}
-
-WheelEntry
-TimingWheel::pop()
-{
-    assert(_size > 0);
-    const bool ok = advanceToPending();
-    assert(ok);
-    (void)ok;
-
-    Bucket &bucket = _near[_curSlot];
-    WheelEntry entry = std::move(bucket[_head]);
-    assert(entry.when == _w0 + _curSlot);
-    ++_head;
-    --_size;
-    if (_head < bucket.size()) {
-        _minCached = entry.when;
-        _minValid = true;
-    } else {
-        // Retire the drained bucket eagerly so an empty wheel is also
-        // structurally empty (resetTo() and re-anchoring rely on it)
-        // and consumed callables are destroyed promptly.
-        bucket.clear();
-        clrBit(_nearMap, _curSlot);
-        _head = 0;
-        _minValid = false;
-    }
-    return entry;
+    return true;
 }
 
 Cycle
@@ -306,9 +235,9 @@ TimingWheel::minPending() const
 Cycle
 TimingWheel::recomputeMin() const
 {
-    // The current near bucket, if it still holds unconsumed entries,
-    // is by construction the earliest cycle.
-    if (_head < _near[_curSlot].size())
+    // The current near bucket, if it still holds slots, is by
+    // construction the earliest cycle.
+    if (_near[_curSlot].head)
         return _w0 + _curSlot;
     std::size_t s = scanFrom(_nearMap, _curSlot + 1, _nearSize);
     if (s != kNotFound)
@@ -318,36 +247,33 @@ TimingWheel::recomputeMin() const
     // bucket spans a cycle range and must be scanned for the minimum.
     for (std::size_t l = 1; l <= kOverflowLevels; ++l) {
         s = scanFrom(_overMap[l - 1], _scan[l - 1], kOverflowSlots);
-        if (s == kNotFound)
-            continue;
-        const Bucket &bucket = _over[l - 1][s];
-        assert(!bucket.empty());
-        Cycle min_when = bucket.front().when;
-        for (const WheelEntry &e : bucket)
-            min_when = e.when < min_when ? e.when : min_when;
-        return min_when;
+        if (s != kNotFound)
+            return _over[l - 1][s].minWhen();
     }
-    assert(!_far.empty());
-    Cycle min_when = _far.front().when;
-    for (const WheelEntry &e : _far)
-        min_when = e.when < min_when ? e.when : min_when;
-    return min_when;
+    return _far.minWhen();
 }
 
 void
 TimingWheel::clear()
 {
-    for (Bucket &b : _near)
-        b.clear();
+    const auto drain = [this](SlotList &list) {
+        for (WheelSlot *s = list.head; s;) {
+            WheelSlot *next = s->next;
+            recycle(s);
+            s = next;
+        }
+        list = SlotList{};
+    };
+    for (SlotList &b : _near)
+        drain(b);
     for (auto &level : _over)
-        for (Bucket &b : level)
-            b.clear();
-    _far.clear();
+        for (SlotList &b : level)
+            drain(b);
+    drain(_far);
     _nearMap.assign(_nearMap.size(), 0);
     for (auto &map : _overMap)
         map.assign(map.size(), 0);
     _size = 0;
-    _head = 0;
     _curSlot = 0;
     _w0 = 0;
     _scan.fill(kOverflowSlots);

@@ -6,10 +6,15 @@
  * short event horizon (ring hops, gateway lookups, L2 and memory
  * accesses); three cascading overflow levels of 256 buckets each cover
  * far-future events (watchdog timeouts, retry backoffs, cell
- * deadlines), and an unsorted far list absorbs anything beyond the
- * last level. Every bucket keeps its entries ordered by the scheduler's
- * sequence counter, so execution order — (cycle, seq) strict — is
- * bit-identical to a binary min-heap over the same entries.
+ * deadlines), and a far list absorbs anything beyond the last level.
+ *
+ * Each pending event is one stationary WheelSlot from a SlotPool: the
+ * scheduler builds the callable in its slot, every bucket is an
+ * intrusive list of slots, cascades relink slots rather than move
+ * callables, and dispatch runs the callable where it sits before the
+ * slot is recycled. Every bucket keeps its slots ordered by the
+ * scheduler's sequence counter, so execution order — (cycle, seq)
+ * strict — is bit-identical to a binary min-heap over the same events.
  *
  * Occupancy bitmaps per level make the "next non-empty bucket" scan a
  * handful of word operations, so draining across empty cycle stretches
@@ -20,22 +25,26 @@
 #define FLEXSNOOP_SIM_TIMING_WHEEL_HH
 
 #include <array>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
 
 #include "sim/event_fn.hh"
+#include "sim/slot_pool.hh"
 #include "sim/types.hh"
 
 namespace flexsnoop
 {
 
-/** One scheduled event inside the wheel. */
-struct WheelEntry
+/** One scheduled event: it stays at this address from schedule to
+ *  dispatch while the wheel relinks it between buckets. */
+struct WheelSlot
 {
-    Cycle when;
-    std::uint64_t seq; ///< scheduling order: the same-cycle tie-break
     EventFn fn;
+    Cycle when = 0;
+    std::uint64_t seq = 0; ///< scheduling order: the same-cycle tie-break
+    WheelSlot *next = nullptr; ///< next slot in the same bucket
 };
 
 class TimingWheel
@@ -62,43 +71,128 @@ class TimingWheel
     bool empty() const { return _size == 0; }
     std::size_t size() const { return _size; }
 
-    /**
-     * Insert an entry. @p now is the scheduler's current cycle; it
-     * re-anchors the wheel when the insert lands in an empty wheel
-     * (which is what keeps long idle jumps free). Requires
-     * entry.when >= now.
-     */
-    void insert(Cycle now, WheelEntry entry);
+    /** A free slot with an empty callable, for the caller to fill and
+     *  link(), or to hand back through recycle(). */
+    WheelSlot *acquire() { return _pool.acquire(); }
 
-    /** Remove and return the earliest entry ((when, seq) order).
-     *  Requires !empty(). */
-    WheelEntry pop();
+    /** Destroy @p slot's callable and return the slot to the pool. */
+    void
+    recycle(WheelSlot *slot) noexcept
+    {
+        slot->fn.reset();
+        _pool.release(slot);
+    }
+
+    /**
+     * Link a filled slot. @p now is the scheduler's current cycle; it
+     * re-anchors the wheel when the slot lands in an empty wheel
+     * (which is what keeps long idle jumps free). Requires
+     * slot->when >= now and slot->seq newer than every pending seq.
+     */
+    void
+    link(Cycle now, WheelSlot *slot)
+    {
+        const Cycle when = slot->when;
+        assert(when >= now);
+        if (_size == 0) {
+            resetTo(now);
+            _minCached = when;
+            _minValid = true;
+        } else if (_minValid && when < _minCached) {
+            _minCached = when;
+        }
+        ++_size;
+        assert(when >= _w0 + _curSlot);
+        if ((when >> _nearBits) == (_w0 >> _nearBits)) {
+            const auto b = static_cast<std::size_t>(when & _nearMask);
+            setBit(_nearMap, b);
+            _near[b].append(slot);
+        } else {
+            linkOverflow(slot);
+        }
+    }
+
+    /**
+     * Unlink the earliest slot ((when, seq) order) and return it; the
+     * caller runs its callable and recycles it. Requires !empty().
+     */
+    WheelSlot *
+    unlinkFront()
+    {
+        assert(_size > 0);
+        if (!_near[_curSlot].head) {
+            const bool ok = advanceToPending();
+            assert(ok);
+            (void)ok;
+        }
+        SlotList &bucket = _near[_curSlot];
+        WheelSlot *slot = bucket.head;
+        assert(slot->when == _w0 + _curSlot);
+        bucket.head = slot->next;
+        --_size;
+        if (bucket.head) {
+            _minCached = slot->when;
+            _minValid = true;
+        } else {
+            // Retire the drained bucket eagerly so an empty wheel is
+            // also structurally empty (resetTo() and re-anchoring rely
+            // on it).
+            bucket.tail = nullptr;
+            clrBit(_nearMap, _curSlot);
+            _minValid = false;
+        }
+        return slot;
+    }
 
     /** Earliest pending cycle. Requires !empty(). Cached; O(1) in the
      *  common case, a bitmap scan after a bucket drains. */
     Cycle minPending() const;
 
-    /** Drop all entries; bucket capacities are retained for reuse. */
+    /** Recycle every pending slot, destroying its callable. */
     void clear();
 
     // Self-measurement (docs/METRICS.md "queue.*") --------------------
 
     /** Overflow buckets cascaded down a level. */
     std::uint64_t cascades() const { return _cascades; }
-    /** Entries re-filed by those cascades. */
+    /** Slots relinked by those cascades. */
     std::uint64_t cascadedEntries() const { return _cascadedEntries; }
-    /** High-water mark of any single bucket's depth. */
-    std::uint64_t maxBucketDepth() const { return _maxBucketDepth; }
-    /** Inserts that missed the near wheel (validates sizing). */
+    /** Links that missed the near wheel (validates sizing). */
     std::uint64_t overflowScheduled() const { return _overflowScheduled; }
-    /** Inserts beyond even the last overflow level. */
+    /** Links beyond even the last overflow level. */
     std::uint64_t farScheduled() const { return _farScheduled; }
 
   private:
-    using Bucket = std::vector<WheelEntry>;
+    /** Intrusive seq-ordered FIFO of slots. */
+    struct SlotList
+    {
+        WheelSlot *head = nullptr;
+        WheelSlot *tail = nullptr;
+
+        void
+        append(WheelSlot *slot)
+        {
+            slot->next = nullptr;
+            if (tail)
+                tail->next = slot;
+            else
+                head = slot;
+            tail = slot;
+        }
+
+        /** Seq-ordered insert: an append unless @p slot is older than
+         *  the tail, which walks from the head. */
+        void insertSorted(WheelSlot *slot);
+
+        /** Earliest cycle held. Requires a non-empty list. */
+        Cycle minWhen() const;
+    };
 
     /** place()'s level number for the far list (0 near, 1..3 overflow). */
     static constexpr std::uint8_t kFarLevel = kOverflowLevels + 1;
+
+    /** Slots per SlotPool chunk (about 28 KiB). */
+    static constexpr std::size_t kPoolChunkSlots = 256;
 
     /** Granularity shift of overflow level @p l (1-based). */
     unsigned
@@ -107,18 +201,22 @@ class TimingWheel
         return _nearBits + kOverflowBits * static_cast<unsigned>(l - 1);
     }
 
-    /** File @p entry into the level its cycle belongs to, keeping the
-     *  target bucket seq-sorted. Does not touch _size. @return the
-     *  level chosen (0 near, 1..3 overflow, kFarLevel). */
-    std::uint8_t place(WheelEntry &&entry);
+    /** link()'s slow path: file a fresh slot that missed the near
+     *  window and count it. */
+    void linkOverflow(WheelSlot *slot);
 
-    /** Seq-sorted insert into one bucket (append in the common case). */
-    void insertSorted(Bucket &bucket, std::uint8_t level, std::size_t slot,
-                      WheelEntry &&entry);
+    /** File @p slot into the level its cycle belongs to, keeping the
+     *  target bucket seq-ordered. Does not touch _size. @return the
+     *  level chosen (0 near, 1..3 overflow, kFarLevel). */
+    std::uint8_t place(WheelSlot *slot);
+
+    /** Relink every slot of @p list through place(), counting them as
+     *  cascaded. */
+    void relinkAll(SlotList list);
 
     /** Advance _curSlot (cascading overflow levels and the far list as
-     *  needed) until the current near bucket holds an unconsumed
-     *  entry. @return false when the wheel is empty. */
+     *  needed) until the current near bucket holds a slot. @return
+     *  false when the wheel is empty. */
     bool advanceToPending();
 
     /** Cascade the next occupied overflow bucket down one level and
@@ -126,17 +224,26 @@ class TimingWheel
      *  every overflow level is exhausted. */
     bool refillFromOverflow();
 
-    /** Re-anchor an empty wheel at @p now. */
+    /** Re-anchor the near window and the overflow scan cursors at
+     *  @p now. Requires every level below the far list to be empty. */
     void resetTo(Cycle now);
 
-    /** Re-file far-list entries that fit the (re-anchored) levels. */
+    /** Relink far-list slots that fit the (re-anchored) levels. */
     void redistributeFar();
 
     Cycle recomputeMin() const;
 
     // Occupancy bitmaps ----------------------------------------------
-    static void setBit(std::vector<std::uint64_t> &bm, std::size_t i);
-    static void clrBit(std::vector<std::uint64_t> &bm, std::size_t i);
+    static void
+    setBit(std::vector<std::uint64_t> &bm, std::size_t i)
+    {
+        bm[i >> 6] |= std::uint64_t{1} << (i & 63);
+    }
+    static void
+    clrBit(std::vector<std::uint64_t> &bm, std::size_t i)
+    {
+        bm[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+    }
     /** First set bit at index >= @p from, or SIZE_MAX. */
     static std::size_t scanFrom(const std::vector<std::uint64_t> &bm,
                                 std::size_t from, std::size_t bits);
@@ -145,16 +252,15 @@ class TimingWheel
     std::size_t _nearSize = 256;
     std::size_t _nearMask = 255;
 
-    std::vector<Bucket> _near;
-    std::array<std::vector<Bucket>, kOverflowLevels> _over;
-    Bucket _far; ///< seq-sorted; cycles beyond the last level
+    std::vector<SlotList> _near;
+    std::array<std::vector<SlotList>, kOverflowLevels> _over;
+    SlotList _far; ///< seq-ordered; cycles beyond the last level
 
     std::vector<std::uint64_t> _nearMap;
     std::array<std::vector<std::uint64_t>, kOverflowLevels> _overMap;
 
     Cycle _w0 = 0;            ///< near window start (aligned)
-    std::size_t _curSlot = 0; ///< near slot currently draining
-    std::size_t _head = 0;    ///< consumed prefix of _near[_curSlot]
+    std::size_t _curSlot = 0; ///< near bucket currently draining
     /** Next overflow slot to examine per level (256 = exhausted). */
     std::array<std::size_t, kOverflowLevels> _scan{};
 
@@ -165,9 +271,12 @@ class TimingWheel
 
     std::uint64_t _cascades = 0;
     std::uint64_t _cascadedEntries = 0;
-    std::uint64_t _maxBucketDepth = 0;
     std::uint64_t _overflowScheduled = 0;
     std::uint64_t _farScheduled = 0;
+
+    /** Owns every slot; callables still pending when the wheel is
+     *  destroyed go with their slots. */
+    SlotPool<WheelSlot> _pool{kPoolChunkSlots};
 };
 
 } // namespace flexsnoop

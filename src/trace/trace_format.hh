@@ -75,7 +75,7 @@ enum class TraceEvent : std::uint16_t
                     ///< on-disk values (older captures: node = from,
                     ///< arg0 = links coalesced, arg1 = retire cycle)
     CounterSnapshot,///< periodic StatGroup sample (a = TraceCounterId,
-                    ///< arg0 = counter value)
+                    ///< arg0 = counter value, cycle = when it was read)
     MeasureStart,   ///< warmup barrier: statistics were reset here
 
     NumEvents

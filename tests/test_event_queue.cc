@@ -4,14 +4,17 @@
  *
  * Every behavioural test runs against both scheduler implementations
  * (the default hierarchical timing wheel and the reference binary
- * heap); wheel-specific structure — cascades, the far list, sizing,
- * the horizon histogram — is covered separately, and a randomized
- * differential test drives both implementations with one script and
- * demands identical fire order.
+ * heap), including when callables are destroyed and what a throwing
+ * event leaves behind; wheel-specific structure — cascades, the far
+ * list, sizing — is covered separately, and a randomized differential
+ * test drives both implementations with one script, whose events also
+ * schedule from inside dispatch, and demands identical fire order.
  */
 
 #include <array>
+#include <functional>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -247,6 +250,122 @@ TEST_P(EventQueueImpl, ReservePreservesBehavior)
     EXPECT_EQ(q.now(), 100u);
 }
 
+// Slot lifetime: what dispatch, clear() and destruction do to callables --
+
+TEST_P(EventQueueImpl, ThrowingEventReleasesItsCaptureAndTheRestStillFire)
+{
+    // An event that throws (a retry storm, a stuck-machine abort, a
+    // checker violation) must not leak its callable or its slot, and
+    // must leave the remaining events queued in (cycle, seq) order.
+    auto token = std::make_shared<int>(0);
+    std::vector<int> order;
+    q.schedule(5, [&order]() { order.push_back(1); });
+    q.schedule(5, [token]() { throw std::runtime_error("first"); });
+    q.schedule(5, [&order]() { order.push_back(2); });
+    q.schedule(9, [token]() { throw std::runtime_error("second"); });
+    q.schedule(9, [&order]() { order.push_back(3); });
+    q.schedule(12, [&order]() { order.push_back(4); });
+    EXPECT_EQ(token.use_count(), 3);
+
+    EXPECT_THROW(q.run(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 2);
+    EXPECT_EQ(q.now(), 5u);
+    EXPECT_EQ(q.pending(), 4u);
+    EXPECT_EQ(order, (std::vector<int>{1}));
+
+    EXPECT_TRUE(q.step());
+    EXPECT_THROW(q.step(), std::runtime_error);
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(q.now(), 9u);
+
+    q.schedule(0, [&order]() { order.push_back(5); });
+    q.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 5, 4}));
+    EXPECT_EQ(q.executed(), 7u);
+    EXPECT_EQ(q.pending(), 0u);
+}
+
+TEST_P(EventQueueImpl, CapturesDieAfterDispatchOnClearAndWithTheQueue)
+{
+    auto token = std::make_shared<int>(0);
+    // The heap-fallback path (a capture too big to store inline) must
+    // free its callable at the same points as the inline one.
+    std::array<std::uint64_t, 16> ballast{};
+    static_assert(sizeof(ballast) > EventFn::kInlineSize);
+
+    long alive_while_running = 0;
+    q.schedule(1, [token, &alive_while_running]() {
+        alive_while_running = token.use_count();
+    });
+    q.schedule(2, [token, ballast]() { (void)ballast; });
+    q.schedule(2, [token]() {});
+    EXPECT_EQ(token.use_count(), 4);
+
+    EXPECT_TRUE(q.step());
+    EXPECT_EQ(alive_while_running, 4);
+    EXPECT_EQ(token.use_count(), 3) << "destroyed right after dispatch";
+    EXPECT_TRUE(q.step());
+    EXPECT_EQ(token.use_count(), 2) << "heap fallback destroyed too";
+
+    q.schedule(1u << 20, [token]() {});
+    q.schedule(1ull << 40, [token, ballast]() { (void)ballast; });
+    EXPECT_EQ(token.use_count(), 4);
+    q.clear();
+    EXPECT_EQ(token.use_count(), 1) << "clear() destroys pending events";
+    EXPECT_EQ(q.pending(), 0u);
+
+    {
+        EventQueue doomed(GetParam());
+        doomed.schedule(3, [token]() {});
+        doomed.schedule(5'000, [token, ballast]() { (void)ballast; });
+        doomed.schedule(1ull << 40, [token]() {});
+        EXPECT_EQ(token.use_count(), 4);
+    }
+    EXPECT_EQ(token.use_count(), 1) << "the queue's destructor frees them";
+}
+
+TEST_P(EventQueueImpl, DelayZeroFromDispatchJoinsTheBackOfTheCycle)
+{
+    // Events scheduled at delay 0 while their cycle drains run after
+    // every same-cycle event already queued, in scheduling order —
+    // including when the scheduling event was the cycle's last and
+    // its bucket had already been retired.
+    std::vector<std::string> order;
+    const auto log = [&order](std::string name) {
+        return [&order, name]() { order.push_back(name); };
+    };
+    q.schedule(5, [&]() {
+        order.push_back("a");
+        q.schedule(0, log("a1"));
+        q.schedule(0, [&]() {
+            order.push_back("a2");
+            q.schedule(0, log("a2x"));
+        });
+    });
+    q.schedule(5, [&]() {
+        order.push_back("b");
+        q.schedule(0, log("b1"));
+    });
+    q.schedule(5, [&]() {
+        order.push_back("c");
+        q.schedule(0, log("c1"));
+    });
+    q.schedule(6, log("next"));
+    q.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"a", "b", "c", "a1", "a2",
+                                               "b1", "c1", "a2x", "next"}));
+
+    // A lone event drains the whole queue before it schedules.
+    order.clear();
+    q.schedule(3, [&]() {
+        order.push_back("only");
+        q.schedule(0, log("then"));
+    });
+    q.run();
+    EXPECT_EQ(order, (std::vector<std::string>{"only", "then"}));
+    EXPECT_EQ(q.now(), 9u);
+}
+
 // Edge behaviour shared by both implementations --------------------------
 
 TEST_P(EventQueueImpl, MinPendingTimeTracksTheFrontier)
@@ -412,11 +531,114 @@ struct Rng
     std::uint64_t pick(std::uint64_t n) { return next() % n; }
 };
 
+/** SplitMix64 finaliser. */
+std::uint64_t
+mix(std::uint64_t x)
+{
+    x += 0x9e3779b97f4a7c15ull;
+    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ull;
+    x = (x ^ (x >> 27)) * 0x94d049bb133111ebull;
+    return x ^ (x >> 31);
+}
+
+/**
+ * One side of the differential script. Every event logs its id, and
+ * some schedule follow-ups from inside dispatch, as the simulator
+ * almost always does. What an event schedules is a pure function of
+ * its id, so both sides make the same choices while they fire in the
+ * same order.
+ */
+class ScriptedQueue
+{
+  public:
+    /** Follow-up delay classes, one per structural region of a wheel
+     *  with the default 256 near buckets. */
+    enum DelayClass
+    {
+        SameCycle,
+        NearWindow,
+        Level1,
+        Level2,
+        Level3,
+        FarList,
+        NumClasses
+    };
+
+    explicit ScriptedQueue(EventQueue::Impl impl) : q(impl) {}
+
+    void
+    add(Cycle delay, std::uint64_t id, int depth = 0)
+    {
+        q.schedule(delay, [this, id, depth]() { fire(id, depth); });
+    }
+
+    EventQueue q;
+    std::vector<std::uint64_t> order;
+    std::array<unsigned, NumClasses> nested{};
+
+  private:
+    static constexpr std::uint64_t kNestedIds = 1ull << 32;
+    static constexpr unsigned kMaxNested = 4000;
+
+    void
+    fire(std::uint64_t id, int depth)
+    {
+        order.push_back(id);
+        const std::uint64_t h = mix(id);
+        if (depth >= 3 || h % 3 != 0 || _spawned >= kMaxNested)
+            return;
+        const unsigned children = 1 + static_cast<unsigned>((h >> 8) % 2);
+        for (unsigned k = 0; k < children; ++k) {
+            const std::uint64_t hk = mix(h + k);
+            const DelayClass c = classOf(hk);
+            ++nested[c];
+            add(delayIn(c, hk >> 8), kNestedIds + _spawned++, depth + 1);
+        }
+    }
+
+    static DelayClass
+    classOf(std::uint64_t h)
+    {
+        const std::uint64_t r = h % 16;
+        if (r < 4)
+            return SameCycle;
+        if (r < 8)
+            return NearWindow;
+        if (r < 11)
+            return Level1;
+        if (r < 13)
+            return Level2;
+        if (r < 15)
+            return Level3;
+        return FarList;
+    }
+
+    static Cycle
+    delayIn(DelayClass c, std::uint64_t r)
+    {
+        switch (c) {
+        case SameCycle:
+            return 0;
+        case NearWindow:
+            return 1 + r % 200;
+        case Level1:
+            return 300 + r % 60'000;
+        case Level2:
+            return 70'000 + r % 16'000'000;
+        case Level3:
+            return 17'000'000 + r % 4'000'000'000ull;
+        default:
+            return (1ull << 33) + r % 1'000; // beyond level 3's window
+        }
+    }
+
+    unsigned _spawned = 0;
+};
+
 TEST(QueueDifferential, WheelMatchesHeapOnRandomScript)
 {
-    EventQueue wheel(EventQueue::Impl::Wheel);
-    EventQueue heap(EventQueue::Impl::Heap);
-    std::vector<std::uint64_t> wheel_order, heap_order;
+    ScriptedQueue wheel(EventQueue::Impl::Wheel);
+    ScriptedQueue heap(EventQueue::Impl::Heap);
 
     // Delay mix mirroring the simulator: mostly short ring-scale hops,
     // some bus/memory round trips, rare watchdog-scale timeouts.
@@ -448,32 +670,42 @@ TEST(QueueDifferential, WheelMatchesHeapOnRandomScript)
         for (std::size_t i = 0; i < batch; ++i) {
             const Cycle delay = draw_delay(rng);
             const std::uint64_t id = next_id++;
-            wheel.schedule(delay, [&wheel_order, id]() {
-                wheel_order.push_back(id);
-            });
-            heap.schedule(delay, [&heap_order, id]() {
-                heap_order.push_back(id);
-            });
+            wheel.add(delay, id);
+            heap.add(delay, id);
         }
 
         const std::size_t steps = rng.pick(2 * batch);
         for (std::size_t i = 0; i < steps; ++i) {
-            if (!wheel.step())
+            if (!wheel.q.step())
                 break;
-            ASSERT_TRUE(heap.step());
+            ASSERT_TRUE(heap.q.step());
         }
-        ASSERT_EQ(wheel.now(), heap.now()) << "round " << round;
-        ASSERT_EQ(wheel.pending(), heap.pending()) << "round " << round;
-        ASSERT_EQ(wheel.minPendingTime(), heap.minPendingTime())
+        if (round == 20) {
+            // Drop everything pending mid-run, nested follow-ups
+            // included; scheduling resumes on the same queues.
+            wheel.q.clear();
+            heap.q.clear();
+        }
+        ASSERT_EQ(wheel.q.now(), heap.q.now()) << "round " << round;
+        ASSERT_EQ(wheel.q.pending(), heap.q.pending()) << "round " << round;
+        ASSERT_EQ(wheel.q.minPendingTime(), heap.q.minPendingTime())
             << "round " << round;
     }
 
-    wheel.run();
-    heap.run();
-    EXPECT_EQ(wheel.executed(), heap.executed());
-    EXPECT_EQ(wheel.now(), heap.now());
-    ASSERT_EQ(wheel_order.size(), heap_order.size());
-    EXPECT_EQ(wheel_order, heap_order);
+    wheel.q.run();
+    heap.q.run();
+    EXPECT_EQ(wheel.q.executed(), heap.q.executed());
+    EXPECT_EQ(wheel.q.now(), heap.q.now());
+    ASSERT_EQ(wheel.order.size(), heap.order.size());
+    EXPECT_EQ(wheel.order, heap.order);
+
+    // The script reached every region of the wheel from inside
+    // dispatch, and the wheel cascaded and relinked far-list slots.
+    for (unsigned c = 0; c < ScriptedQueue::NumClasses; ++c)
+        EXPECT_GT(wheel.nested[c], 0u) << "delay class " << c;
+    EXPECT_GT(wheel.q.wheel().overflowScheduled(), 0u);
+    EXPECT_GT(wheel.q.wheel().farScheduled(), 0u);
+    EXPECT_GT(wheel.q.wheel().cascades(), 0u);
 }
 
 } // namespace

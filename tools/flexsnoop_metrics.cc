@@ -35,6 +35,7 @@
 #include "core/cli_parse.hh"
 #include "core/version.hh"
 #include "telemetry/health.hh"
+#include "telemetry/metrics_align.hh"
 #include "telemetry/metrics_reader.hh"
 #include "trace/trace_reader.hh"
 
@@ -152,105 +153,33 @@ exportProm(const MetricsFile &file, const std::string &path)
     }
 }
 
-/** ctrl.* series mirrored by .fstrace CounterSnapshot records. */
-const char *
-alignedSeries(TraceCounterId id)
-{
-    switch (id) {
-    case TraceCounterId::ReadRingRequests:
-        return "ctrl.read_ring_requests";
-    case TraceCounterId::ReadSnoops:
-        return "ctrl.read_snoops";
-    case TraceCounterId::ReadLinkMessages:
-        return "ctrl.read_link_messages";
-    case TraceCounterId::WriteRingRequests:
-        return "ctrl.write_ring_requests";
-    case TraceCounterId::Collisions:
-        return "ctrl.collisions";
-    case TraceCounterId::Retries:
-        return "ctrl.retries";
-    case TraceCounterId::WatchdogTimeouts:
-        return "ctrl.watchdog_timeouts";
-    default:
-        return nullptr;
-    }
-}
-
-/**
- * Cross-validate the two observation channels of one run: both sample
- * the same cumulative counters (at different instants), and both reset
- * at the same warmup barrier, so per counter the union of (cycle,
- * value) points past the barrier must be non-decreasing. A violation
- * means the files are from different runs — or a capture bug.
- */
+/** Print the --align report; @return the exit status. */
 int
 alignWithTrace(const MetricsFile &file, const std::string &trace_path)
 {
     const TraceFile trace = loadTrace(trace_path);
-
-    // The barrier cycle as each file recorded it; points before either
-    // are pre-reset and excluded.
-    std::uint64_t barrier = 0;
-    if (file.header.measureStartCycle != kMetricsNoMeasureStart)
-        barrier = file.header.measureStartCycle;
-    for (const TraceRecord &rec : trace.records) {
-        if (rec.event() == TraceEvent::MeasureStart)
-            barrier = std::max(barrier, rec.cycle);
-    }
+    const AlignmentReport report = alignMetricsWithTrace(file, trace);
 
     std::cout << "aligning " << trace_path << " (" << trace.records.size()
-              << " records) from cycle " << barrier << ":\n";
-    bool any = false;
-    int inconsistent = 0;
-    for (std::uint16_t id = 0;
-         id < static_cast<std::uint16_t>(TraceCounterId::NumCounters);
-         ++id) {
-        const char *series =
-            alignedSeries(static_cast<TraceCounterId>(id));
-        const std::vector<std::uint64_t> *column =
-            series ? file.column(series) : nullptr;
-        if (!column)
-            continue;
-
-        std::vector<std::pair<std::uint64_t, std::uint64_t>> points;
-        for (const TraceRecord &rec : trace.records) {
-            if (rec.event() == TraceEvent::CounterSnapshot &&
-                rec.a == id && rec.cycle >= barrier)
-                points.emplace_back(rec.cycle, rec.arg0);
-        }
-        const std::size_t trace_points = points.size();
-        for (std::size_t i = 0; i < file.cycles.size(); ++i) {
-            if (file.cycles[i] >= barrier)
-                points.emplace_back(file.cycles[i], (*column)[i]);
-        }
-        std::sort(points.begin(), points.end());
-
-        any = true;
-        bool ok = true;
-        for (std::size_t i = 1; i < points.size(); ++i) {
-            if (points[i].second < points[i - 1].second) {
-                std::cout << "  " << series << ": INCONSISTENT at cycle "
-                          << points[i].first << " (" << points[i].second
-                          << " after " << points[i - 1].second
-                          << " at cycle " << points[i - 1].first << ")\n";
-                ok = false;
-                ++inconsistent;
-                break;
-            }
-        }
-        if (ok) {
-            std::cout << "  " << series << ": consistent ("
-                      << trace_points << " trace snapshots vs "
-                      << points.size() - trace_points
-                      << " metric samples)\n";
+              << " records) from cycle " << report.barrier << ":\n";
+    for (const CounterAlignment &c : report.counters) {
+        if (c.consistent) {
+            std::cout << "  " << c.series << ": consistent ("
+                      << c.tracePoints << " trace snapshots vs "
+                      << c.metricPoints << " metric samples)\n";
+        } else {
+            std::cout << "  " << c.series << ": INCONSISTENT at cycle "
+                      << c.drop.cycle << " (" << c.drop.value
+                      << " after " << c.before.value << " at cycle "
+                      << c.before.cycle << ")\n";
         }
     }
-    if (!any) {
+    if (report.counters.empty()) {
         std::cout << "  no overlapping counters (trace has no "
                      "CounterSnapshot records, or ctrl.* was filtered "
                      "out of the metrics)\n";
     }
-    return inconsistent == 0 ? 0 : 1;
+    return report.consistent() ? 0 : 1;
 }
 
 std::string
