@@ -44,6 +44,7 @@ CoherenceChecker::check() const
     auto report = [&](Addr line, const std::string &what) {
         violations.push_back(Violation{line, what});
     };
+    std::size_t supplier_lines = 0; ///< lines some CMP supplies
 
     for (std::size_t begin = 0; begin < copies.size();) {
         std::size_t end = begin + 1;
@@ -103,9 +104,11 @@ CoherenceChecker::check() const
         }
 
         // Audit the CmpNodes' incrementally tracked per-line state (the
-        // copy counts and supplier sets the controller's hot path reads)
-        // against this ground-truth scan: a desync would silently skew
-        // every predictor decision downstream.
+        // copy counts and supplier sets the controller's hot path reads,
+        // and the machine-wide census of supplier CMPs memory fills
+        // read) against this ground-truth scan: a desync would silently
+        // skew every predictor decision or fill state downstream.
+        unsigned supplier_cmps = 0;
         for (std::size_t i = begin; i < end;) {
             std::size_t cmp_end = i + 1;
             while (cmp_end < end && copies[cmp_end].node == copies[i].node)
@@ -125,6 +128,7 @@ CoherenceChecker::check() const
                 if (isSupplierState(copies[j].state))
                     supplier_core = copies[j].core;
             }
+            supplier_cmps += supplier_core != SIZE_MAX;
             if (cmp.supplierCore(line) != supplier_core) {
                 std::ostringstream oss;
                 oss << "cmp" << copies[i].node
@@ -136,8 +140,34 @@ CoherenceChecker::check() const
             }
             i = cmp_end;
         }
+        if (_census.supplierCmps(line) != supplier_cmps) {
+            std::ostringstream oss;
+            oss << "census counts " << _census.supplierCmps(line)
+                << " supplier CMPs, scan found " << supplier_cmps;
+            report(line, oss.str());
+        }
+        supplier_lines += supplier_cmps > 0;
 
         begin = end;
+    }
+
+    // A census entry for a line no cache supplies never met the loop
+    // above; find such entries when the line totals disagree.
+    if (_census.supplierLines() != supplier_lines) {
+        _census.forEachSupplierLine([&](Addr line, unsigned count) {
+            auto it = std::lower_bound(
+                copies.begin(), copies.end(), line,
+                [](const Copy &c, Addr l) { return c.line < l; });
+            bool supplied = false;
+            for (; it != copies.end() && it->line == line; ++it)
+                supplied = supplied || isSupplierState(it->state);
+            if (!supplied) {
+                std::ostringstream oss;
+                oss << "census counts " << count
+                    << " supplier CMPs, scan found none";
+                report(line, oss.str());
+            }
+        });
     }
     return violations;
 }

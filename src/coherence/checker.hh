@@ -36,9 +36,11 @@ class CoherenceChecker
         std::string description;
     };
 
-    explicit CoherenceChecker(
-        const std::vector<std::unique_ptr<CmpNode>> &nodes)
-        : _nodes(nodes)
+    /** @param census the machine-wide census the nodes report to; its
+     *  supplier counts are audited against the scan. */
+    CoherenceChecker(const std::vector<std::unique_ptr<CmpNode>> &nodes,
+                     const LineCensus &census)
+        : _nodes(nodes), _census(census)
     {
     }
 
@@ -52,6 +54,7 @@ class CoherenceChecker
 
   private:
     const std::vector<std::unique_ptr<CmpNode>> &_nodes;
+    const LineCensus &_census;
 };
 
 } // namespace flexsnoop

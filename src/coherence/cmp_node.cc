@@ -70,6 +70,16 @@ CmpNode::setAggregateMirrors(PresencePredictor *supplier_agg,
 }
 
 void
+CmpNode::setCensus(LineCensus *census)
+{
+    _census = census;
+    if (_census) {
+        _suppliers.forEach(
+            [this](Addr line, std::size_t) { _census->supplierGained(line); });
+    }
+}
+
+void
 CmpNode::onTransition(std::size_t core, Addr line, LineState from,
                       LineState to)
 {
@@ -102,6 +112,8 @@ CmpNode::onTransition(std::size_t core, Addr line, LineState from,
             _predictor->supplierLost(line);
         if (_supplierAgg)
             _supplierAgg->lineAbsent(line);
+        if (_census)
+            _census->supplierLost(line);
     } else if (!was_supplier && is_supplier) {
         if (const std::size_t *other = _suppliers.find(line)) {
             FS_LOG(Error, 0, "cmp",
@@ -118,6 +130,8 @@ CmpNode::onTransition(std::size_t core, Addr line, LineState from,
             _predictor->supplierGained(line);
         if (_supplierAgg)
             _supplierAgg->linePresent(line);
+        if (_census)
+            _census->supplierGained(line);
     }
 
     // Track the local master (SL holder). SG/E/D/T holders implicitly
@@ -313,15 +327,10 @@ CmpNode::downgrade(Addr line)
     // SL is unique per CMP; a supplier holder excludes other SL copies
     // in the same CMP, so demoting to SL is always legal here.
     _l2s[src]->changeState(line, LineState::SharedLocal);
-    _downgradeMarks.put(line, 1);
+    if (_census)
+        _census->markDowngraded(line);
     _downgradesStat.inc();
     return wrote_back;
-}
-
-bool
-CmpNode::consumeDowngradeMark(Addr line)
-{
-    return _downgradeMarks.erase(lineAddr(line));
 }
 
 } // namespace flexsnoop

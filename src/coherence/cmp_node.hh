@@ -11,6 +11,7 @@
 #ifndef FLEXSNOOP_COHERENCE_CMP_NODE_HH
 #define FLEXSNOOP_COHERENCE_CMP_NODE_HH
 
+#include <cassert>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -25,6 +26,61 @@
 
 namespace flexsnoop
 {
+
+/**
+ * Machine-wide per-line facts that every CmpNode keeps current from its
+ * L2 transition hooks, so a question about all CMPs costs one lookup
+ * instead of one per CMP: how many CMPs hold a line in a supplier state
+ * (a memory fill picks its state from it), and which lines the Exact
+ * predictor force-downgraded (a later memory read of one is charged to
+ * Exact, paper §6.1.4).
+ */
+class LineCensus
+{
+  public:
+    /** Number of CMPs holding @p line in a supplier state. */
+    unsigned
+    supplierCmps(Addr line) const
+    {
+        const unsigned *count = _supplierCmps.find(line);
+        return count ? *count : 0;
+    }
+    bool hasSupplier(Addr line) const
+    {
+        return _supplierCmps.contains(line);
+    }
+    /** Lines with at least one supplier CMP (checker support). */
+    std::size_t supplierLines() const { return _supplierCmps.size(); }
+    template <typename Fn>
+    void
+    forEachSupplierLine(Fn &&fn) const
+    {
+        _supplierCmps.forEach(fn);
+    }
+
+    void supplierGained(Addr line) { ++_supplierCmps.getOrCreate(line); }
+    void
+    supplierLost(Addr line)
+    {
+        unsigned *count = _supplierCmps.find(line);
+        assert(count != nullptr && *count > 0);
+        if (--*count == 0)
+            _supplierCmps.erase(line);
+    }
+
+    void markDowngraded(Addr line) { _downgradeMarks.put(line, 1); }
+    /** Clear @p line's downgrade mark; true if it had one. */
+    bool consumeDowngradeMark(Addr line)
+    {
+        return _downgradeMarks.erase(line);
+    }
+
+  private:
+    FlatMap<unsigned> _supplierCmps;
+    /** Value is a presence byte (FlatMap<bool> would hit the
+     *  vector<bool> proxy). */
+    FlatMap<std::uint8_t> _downgradeMarks;
+};
 
 class CmpNode
 {
@@ -70,6 +126,13 @@ class CmpNode
      */
     void setAggregateMirrors(PresencePredictor *supplier_agg,
                              PresencePredictor *presence_agg);
+
+    /**
+     * Install (or remove, with nullptr) the machine-wide census this
+     * node reports its supplier-set changes and Exact downgrades to;
+     * not owned. Synchronizes with the suppliers already cached.
+     */
+    void setCensus(LineCensus *census);
 
     void setWritebackFn(WritebackFn fn) { _writeback = std::move(fn); }
 
@@ -149,14 +212,12 @@ class CmpNode
 
     /**
      * Demote @p line from its supplier state (paper §4.3.3): SG/E become
-     * SL silently; D/T are written back and kept in SL.
+     * SL silently; D/T are written back and kept in SL. Marks the line
+     * in the census, whose next memory read of it is then attributable
+     * to Exact.
      * @return true if a writeback was issued.
      */
     bool downgrade(Addr line);
-
-    /** Lines downgraded by the predictor whose next memory read is
-     *  attributable to Exact (consumed by the controller). */
-    bool consumeDowngradeMark(Addr line);
 
     // --- Infrastructure -------------------------------------------------
 
@@ -191,6 +252,7 @@ class CmpNode
     // Bridge aggregates of this node's block (hier topology; not owned).
     PresencePredictor *_supplierAgg = nullptr;
     PresencePredictor *_presenceAgg = nullptr;
+    LineCensus *_census = nullptr; ///< machine-wide (not owned)
     WritebackFn _writeback;
 
     // Per-line CMP state, all on the per-hop snoop path: open-addressing
@@ -202,10 +264,6 @@ class CmpNode
     FlatMap<std::size_t> _suppliers;
     /** line -> local L2 index holding the SL (local master) copy. */
     FlatMap<std::size_t> _localMasters;
-    /** lines force-downgraded by the Exact predictor (energy
-     *  attribution); value is a presence byte (FlatMap<bool> would hit
-     *  the vector<bool> proxy). */
-    FlatMap<std::uint8_t> _downgradeMarks;
 
     StatGroup _stats;
     // Cached handles for per-transaction supply/eviction accounting.

@@ -56,13 +56,13 @@ CoherenceController::HotStats::HotStats(StatGroup &g)
 CoherenceController::CoherenceController(
     EventQueue &queue, RingNetwork &ring, DataNetwork &data,
     MemoryController &memory, EnergyModel &energy, SnoopPolicy &policy,
-    std::vector<std::unique_ptr<CmpNode>> &nodes,
+    std::vector<std::unique_ptr<CmpNode>> &nodes, LineCensus &census,
     const CoherenceParams &params)
     : _queue(queue), _ring(ring), _data(data), _memory(memory),
-      _energy(energy), _policy(policy), _nodes(nodes), _params(params),
+      _energy(energy), _policy(policy), _nodes(nodes), _census(census),
+      _params(params),
       _coresPerCmp(nodes.empty() ? 1 : nodes.front()->numCores()),
-      _outstandingByLine(nodes.size()), _pending(nodes.size()),
-      _gates(nodes.size()), _stats("controller"), _c(_stats)
+      _lines(nodes.size()), _stats("controller"), _c(_stats)
 {
     assert(!_nodes.empty());
     for (NodeId n = 0; n < _nodes.size(); ++n) {
@@ -108,11 +108,10 @@ CoherenceController::txnPoolUsage() const
 }
 
 CoherenceController::PoolUsage
-CoherenceController::pendingPoolUsage() const
+CoherenceController::linePoolUsage() const
 {
-    return {_pendingPool.acquires(), _pendingPool.releases(),
-            _pendingPool.live(), _pendingPool.slotsAllocated(),
-            _pendingPool.chunkAllocs()};
+    return {_linePool.acquires(), _linePool.releases(), _linePool.live(),
+            _linePool.slotsAllocated(), _linePool.chunkAllocs()};
 }
 
 Transaction *
@@ -122,109 +121,141 @@ CoherenceController::findTransaction(TransactionId id)
     return slot ? *slot : nullptr;
 }
 
-NodePending &
-CoherenceController::pending(NodeId node, TransactionId txn)
+GatewayLine *
+CoherenceController::findLine(NodeId node, Addr line) const
 {
-    NodePending *&slot = _pending[node].getOrCreate(txn);
-    if (!slot) {
-        slot = _pendingPool.acquire();
-        slot->reset();
-    }
-    return *slot;
+    GatewayLine *const *rec = _lines[node].find(line);
+    return rec ? *rec : nullptr;
 }
 
-NodePending *
-CoherenceController::findPending(NodeId node, TransactionId txn)
+GatewayLine &
+CoherenceController::openLine(NodeId node, LineProbe &probe)
 {
-    NodePending **slot = _pending[node].find(txn);
-    return slot ? *slot : nullptr;
+    if (probe.value)
+        return **probe.value;
+    GatewayLine *rec = _linePool.acquire();
+    // Records return to the pool idle (recycleIfIdle), fresh slots
+    // default-construct idle; recycled vectors keep their capacity.
+    assert(rec->idle() && rec->holder == kInvalidTransaction &&
+           rec->deferred.empty());
+    rec->line = probe.key;
+    _lines[node].insert(probe) = rec;
+    return *rec;
 }
 
 void
-CoherenceController::erasePending(NodeId node, TransactionId txn)
+CoherenceController::recycleIfIdle(NodeId node, GatewayLine *rec)
 {
-    NodePending **slot = _pending[node].find(txn);
-    if (!slot)
+    if (!rec->idle())
         return;
-    _pendingPool.release(*slot);
-    _pending[node].erase(txn);
+    _lines[node].erase(rec->line);
+    _linePool.release(rec);
+}
+
+NodePending &
+CoherenceController::pending(GatewayLine &rec, TransactionId txn)
+{
+    if (NodePending *p = rec.findPending(txn))
+        return *p;
+    NodePending &p = rec.pending.emplace_back();
+    p.txn = txn;
+    return p;
+}
+
+void
+CoherenceController::erasePending(GatewayLine &rec, TransactionId txn)
+{
+    NodePending *p = rec.findPending(txn);
+    if (!p)
+        return;
+    if (p->bufferedReply)
+        _msgPool.release(p->bufferedReply);
+    *p = rec.pending.back();
+    rec.pending.pop_back();
+}
+
+void
+CoherenceController::dropPending(NodeId node, GatewayLine *rec,
+                                 TransactionId txn)
+{
+    erasePending(*rec, txn);
+    recycleIfIdle(node, rec);
+}
+
+void
+CoherenceController::retire(NodeId node, GatewayLine *rec,
+                            TransactionId txn)
+{
+    erasePending(*rec, txn);
+    releaseGate(node, rec, txn);
 }
 
 bool
-CoherenceController::deferIfGated(NodeId node, const SnoopMessage &msg)
+CoherenceController::deferIfGated(NodeId node, GatewayLine *rec,
+                                  const SnoopMessage &msg)
 {
-    GateLine *const *found = _gates[node].find(msg.line);
-    if (!found)
+    if (!rec)
         return false;
-    GateLine &gate = **found;
     // The holder's own traffic (notably the trailing reply an STF hold
     // is waiting for) must always flow, or the hold never ends.
-    if (gate.active == msg.txn)
+    if (rec->holder == msg.txn)
         return false;
-    // Idle gate with nothing queued: pass through.
-    if (gate.active == kInvalidTransaction && gate.deferred.empty())
+    // Idle (or closed) gate with nothing queued: pass through.
+    if (rec->holder == kInvalidTransaction && rec->deferred.empty())
         return false;
     // Strict per-line FIFO: every other message (any type) queues, so a
     // trailing reply can never overtake its own parked request.
-    gate.deferred.push_back(msg);
+    rec->deferred.push_back(msg);
     _c.gateDeferrals.inc();
     if (_trace)
         _trace->record(TraceEvent::GateDefer, _queue.now(), msg.txn,
                        msg.line,
-                       gate.active == kInvalidTransaction ? 0
-                                                          : gate.active,
+                       rec->holder == kInvalidTransaction ? 0
+                                                          : rec->holder,
                        static_cast<std::uint16_t>(node));
     return true;
 }
 
 void
-CoherenceController::acquireGate(NodeId node, Addr line, TransactionId txn)
+CoherenceController::acquireGate(GatewayLine &rec, TransactionId txn)
 {
-    GateLine *&slot = _gates[node].getOrCreate(line);
-    if (!slot) {
-        slot = _gatePool.acquire();
-        // Recycled gates are returned clean (drainGate only releases
-        // an idle, empty gate), fresh slots default-construct clean.
-        assert(slot->active == kInvalidTransaction &&
-               slot->deferred.empty());
+    if (!rec.gateOpen) {
+        rec.gateOpen = true;
+        ++_gatedLines;
     }
-    GateLine &gate = *slot;
-    assert(gate.active == kInvalidTransaction || gate.active == txn);
-    gate.active = txn;
+    assert(rec.holder == kInvalidTransaction || rec.holder == txn);
+    rec.holder = txn;
 }
 
 void
-CoherenceController::releaseGate(NodeId node, Addr line, TransactionId txn)
+CoherenceController::releaseGate(NodeId node, GatewayLine *rec,
+                                 TransactionId txn)
 {
-    GateLine *const *gate = _gates[node].find(line);
-    if (!gate)
+    if (rec->holder != txn) {
+        recycleIfIdle(node, rec);
         return;
-    if ((*gate)->active != txn)
-        return;
-    (*gate)->active = kInvalidTransaction;
-    drainGate(node, line);
+    }
+    rec->holder = kInvalidTransaction;
+    drainGate(node, rec);
 }
 
 void
-CoherenceController::drainGate(NodeId node, Addr line)
+CoherenceController::drainGate(NodeId node, GatewayLine *rec)
 {
     // Synchronous loop: popping and reprocessing must leave no window
     // in which a newly-arriving message could slip past the queue and
     // steal the gate from the rightful next holder.
+    const Addr line = rec->line;
     while (true) {
-        // Refetch each iteration: handleIntermediate below may insert
-        // other gates, invalidating FlatMap slot pointers on growth
-        // (the pooled GateLine itself is address-stable).
-        GateLine *const *found = _gates[node].find(line);
-        if (!found)
-            return;
-        GateLine &gate = **found;
-        if (gate.deferred.empty()) {
-            if (gate.active == kInvalidTransaction) {
-                // The gate is idle and empty: recycle it (its deque
-                // keeps any grown chunk for the next acquire).
-                _gatePool.release(*found);
-                _gates[node].erase(line);
+        if (rec->deferred.empty()) {
+            if (rec->holder == kInvalidTransaction) {
+                // The gate is idle and empty: close it, and recycle the
+                // record if nothing else is tracked on the line.
+                if (rec->gateOpen) {
+                    rec->gateOpen = false;
+                    --_gatedLines;
+                }
+                recycleIfIdle(node, rec);
             }
             return;
         }
@@ -233,20 +264,23 @@ CoherenceController::drainGate(NodeId node, Addr line)
         // delivered -- jumping the queue if needed, as a real gateway
         // consumes a reply on arrival rather than forwarding it. Other
         // transactions stay queued until release.
-        auto pick = gate.deferred.begin();
-        if (gate.active != kInvalidTransaction) {
-            while (pick != gate.deferred.end() &&
-                   pick->txn != gate.active)
+        auto pick = rec->deferred.begin();
+        if (rec->holder != kInvalidTransaction) {
+            while (pick != rec->deferred.end() && pick->txn != rec->holder)
                 ++pick;
-            if (pick == gate.deferred.end())
+            if (pick == rec->deferred.end())
                 return;
         }
         const SnoopMessage next = *pick;
-        gate.deferred.erase(pick);
+        rec->deferred.erase(pick);
         // The reprocessed message may take the gate (SnoopThenForward),
         // in which case the next loop iteration only delivers its own
-        // traffic; otherwise keep draining.
+        // traffic; otherwise keep draining. It may also retire the
+        // line's last state and recycle the record: look it up again.
         handleIntermediate(node, next, /*from_gate=*/true);
+        rec = findLine(node, line);
+        if (!rec)
+            return;
     }
 }
 
@@ -298,9 +332,9 @@ CoherenceController::coreRead(CoreId core, Addr addr,
     }
 
     // 3. Merge with an outstanding same-line read of this CMP.
-    auto &out = _outstandingByLine[n];
-    if (const TransactionId *oid = out.find(line)) {
-        Transaction *t = findTransaction(*oid);
+    if (const GatewayLine *rec = findLine(n, line);
+        rec && rec->own != kInvalidTransaction) {
+        Transaction *t = findTransaction(rec->own);
         if (t && t->kind == SnoopKind::Read && !t->squashed &&
             !t->dataArrived) {
             // Merging onto a transaction whose data already arrived
@@ -348,8 +382,8 @@ CoherenceController::coreWrite(CoreId core, Addr addr,
     }
 
     // 2. A local transaction on this line is already in flight.
-    auto &out = _outstandingByLine[n];
-    if (out.contains(line)) {
+    if (const GatewayLine *rec = findLine(n, line);
+        rec && rec->own != kInvalidTransaction) {
         _c.writeLocalConflictDelays.inc();
         _queue.schedule(_params.retryBackoff, [this, core, addr,
                                                retries]() {
@@ -391,7 +425,8 @@ CoherenceController::startRingTransaction(CoreId core, Addr line,
 
     const TransactionId id = txn->id;
     _transactions.put(id, txn);
-    _outstandingByLine[n].put(line, id);
+    LineProbe probe = _lines[n].probe(line);
+    openLine(n, probe).own = id;
     ++_liveLineRounds.getOrCreate(line);
 
     if (_trace)
@@ -469,8 +504,8 @@ void
 CoherenceController::sweepTransactionState(TransactionId id, Addr line)
 {
     for (NodeId n = 0; n < _nodes.size(); ++n) {
-        erasePending(n, id);
-        releaseGate(n, line, id);
+        if (GatewayLine *rec = findLine(n, line))
+            retire(n, rec, id);
     }
 }
 
@@ -585,9 +620,16 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
         _memory.notifySnoopAtHome(msg.line, _queue.now());
     }
 
+    // One lookup serves every gateway decision below: the gate, the
+    // collision check against this node's own transaction and the
+    // pending snoop of msg's transaction all live in the line's record.
+    // On a miss the probe also remembers where a new record goes.
+    LineProbe probe = _lines[node].probe(msg.line);
+    GatewayLine *rec = probe.value ? *probe.value : nullptr;
+
     // Strict per-line FIFO at the gateway (any message type): nothing
     // may overtake a parked same-line message of another transaction.
-    if (!from_gate && deferIfGated(node, msg))
+    if (!from_gate && deferIfGated(node, rec, msg))
         return;
 
     // Bridge gateway (hier topology): a foreign block's head may skip
@@ -595,7 +637,8 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
     // requester's own block always runs the flat path, so the round
     // still terminates at the requester.
     if (_topo && _topo->isHead(node) &&
-        !_topo->sameBlock(node, msg.requester) && bridgeHandle(node, msg))
+        !_topo->sameBlock(node, msg.requester) &&
+        bridgeHandle(node, msg, probe))
         return;
 
     // Found or squashed messages travel the rest of the ring inert. A
@@ -603,13 +646,11 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
     // node downstream of the supplier was waiting for (Table 2): it
     // closes that node's pending state.
     if (msg.found || msg.squashed) {
-        if (NodePending *p = findPending(node, msg.txn)) {
-            if (p->snoopPending) {
+        if (NodePending *p = rec ? rec->findPending(msg.txn) : nullptr) {
+            if (p->snoopPending)
                 p->abandoned = true;
-            } else {
-                erasePending(node, msg.txn);
-                releaseGate(node, msg.line, msg.txn);
-            }
+            else
+                retire(node, rec, msg.txn);
         }
         forwardMessage(node, msg);
         return;
@@ -617,12 +658,12 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
 
     // Trailing (negative) replies follow their own merge rules.
     if (msg.type == MsgType::SnoopReply) {
-        handleTrailingReply(node, msg);
+        handleTrailingReply(node, rec, msg);
         return;
     }
 
     // Active request or combined R/R.
-    if (detectCollision(node, msg)) {
+    if (detectCollision(node, rec, msg)) {
         forwardMessage(node, msg); // now squashed; circulates back inert
         return;
     }
@@ -715,7 +756,7 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
             // the count up in handleTrailingReply. Without the marker a
             // reply that outlived a dropped request is indistinguishable
             // from a complete round.
-            NodePending &p = pending(node, msg.txn);
+            NodePending &p = pending(openLine(node, probe), msg.txn);
             p.prim = Primitive::Forward;
             p.snoopDone = true;
             p.waitingForReply = true;
@@ -730,7 +771,8 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
         return;
     }
 
-    NodePending &p = pending(node, msg.txn);
+    GatewayLine &held = openLine(node, probe);
+    NodePending &p = pending(held, msg.txn);
     p.prim = prim;
     p.receivedCombined = msg.type == MsgType::CombinedRR;
     p.snoopPending = true;
@@ -738,7 +780,7 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
     if (prim == Primitive::SnoopThenForward) {
         // The message is held here until the snoop (and possibly the
         // trailing-reply fusion) completes: gate the line.
-        acquireGate(node, msg.line, msg.txn);
+        acquireGate(held, msg.txn);
     }
 
     if (prim == Primitive::ForwardThenSnoop) {
@@ -765,7 +807,8 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
 // --------------------------------------------------------------------------
 
 bool
-CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg)
+CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg,
+                                  LineProbe &probe)
 {
     const std::size_t block = _topo->blockOf(node);
     auto &decisions = _bridgeDecisions[block];
@@ -777,7 +820,7 @@ CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg)
     if (const std::uint8_t *d = decisions.find(msg.txn)) {
         if (static_cast<BridgeAction>(*d) == BridgeAction::Descend)
             return false;
-        bridgeSkipForward(node, msg, 0);
+        bridgeSkipForward(node, msg, probe, 0);
         return true;
     }
 
@@ -794,7 +837,7 @@ CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg)
         decisions.put(msg.txn, static_cast<std::uint8_t>(
                                    BridgeAction::Skip));
         _c.bridgeSkips.inc();
-        bridgeSkipForward(node, msg, 0);
+        bridgeSkipForward(node, msg, probe, 0);
         return true;
     }
 
@@ -817,7 +860,7 @@ CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg)
         return false;
     }
     _c.bridgeSkips.inc();
-    bridgeSkipForward(node, msg, decision_latency);
+    bridgeSkipForward(node, msg, probe, decision_latency);
     return true;
 }
 
@@ -923,24 +966,25 @@ CoherenceController::decideBridge(NodeId node, const SnoopMessage &msg,
 
 void
 CoherenceController::bridgeSkipForward(NodeId node, const SnoopMessage &msg,
+                                       LineProbe &probe,
                                        Cycle decision_latency)
 {
     SnoopMessage out = msg;
+    GatewayLine *rec = probe.value ? *probe.value : nullptr;
+    NodePending *p = rec ? rec->findPending(msg.txn) : nullptr;
     if (msg.found || msg.squashed) {
         // Inert skip: flat members leave visit counts untouched for
         // inert traffic; close any marker this bridge still holds.
-        if (findPending(node, msg.txn)) {
-            erasePending(node, msg.txn);
-            releaseGate(node, msg.line, msg.txn);
-        }
+        if (p)
+            retire(node, rec, msg.txn);
     } else if (msg.type == MsgType::SnoopReply) {
         // Negative trailing reply: pick up the visit count the skipped
         // request recorded here (fault mode), like at a flat Forward
         // marker node.
-        if (NodePending *p = findPending(node, msg.txn)) {
+        if (p) {
             if (p->waitingForReply)
                 out.visits = p->requestVisits;
-            erasePending(node, msg.txn);
+            dropPending(node, rec, msg.txn);
         }
     } else {
         // Active request: the skip covers this head and its members.
@@ -950,11 +994,11 @@ CoherenceController::bridgeSkipForward(NodeId node, const SnoopMessage &msg,
         if (_faults && msg.type == MsgType::SnoopRequest) {
             // Same marker a flat Forward node leaves: the trailing
             // reply picks the authoritative visit count up here.
-            NodePending &p = pending(node, msg.txn);
-            p.prim = Primitive::Forward;
-            p.snoopDone = true;
-            p.waitingForReply = true;
-            p.requestVisits = out.visits;
+            NodePending &marker = pending(openLine(node, probe), msg.txn);
+            marker.prim = Primitive::Forward;
+            marker.snoopDone = true;
+            marker.waitingForReply = true;
+            marker.requestVisits = out.visits;
         }
     }
     sendSkipAccounted(node, out, decision_latency);
@@ -990,10 +1034,10 @@ CoherenceController::blockConflicts(std::size_t block,
     const NodeId begin = _topo->headOf(block);
     const NodeId end = begin + static_cast<NodeId>(_topo->blockSize());
     for (NodeId n = begin; n < end; ++n) {
-        const TransactionId *oid = _outstandingByLine[n].find(msg.line);
-        if (!oid)
+        const GatewayLine *rec = findLine(n, msg.line);
+        if (!rec || rec->own == kInvalidTransaction)
             continue;
-        Transaction *t = findTransaction(*oid);
+        Transaction *t = findTransaction(rec->own);
         if (!t || t->squashed)
             continue;
         if (msg.kind == SnoopKind::Read && t->kind == SnoopKind::Read)
@@ -1028,13 +1072,12 @@ CoherenceController::blockHasAnyCopy(std::size_t block, Addr line) const
 }
 
 bool
-CoherenceController::detectCollision(NodeId node, SnoopMessage &msg)
+CoherenceController::detectCollision(NodeId node, const GatewayLine *rec,
+                                     SnoopMessage &msg)
 {
-    auto &out = _outstandingByLine[node];
-    const TransactionId *oid = out.find(msg.line);
-    if (!oid)
+    if (!rec || rec->own == kInvalidTransaction)
         return false;
-    Transaction *t = findTransaction(*oid);
+    Transaction *t = findTransaction(rec->own);
     if (!t || t->squashed)
         return false;
     if (msg.kind == SnoopKind::Read && t->kind == SnoopKind::Read)
@@ -1112,7 +1155,8 @@ CoherenceController::ringSnoopWrite(NodeId node, const SnoopMessage &msg)
 void
 CoherenceController::snoopComplete(NodeId node, SnoopMessage msg)
 {
-    NodePending *pp = findPending(node, msg.txn);
+    GatewayLine *rec = findLine(node, msg.line);
+    NodePending *pp = rec ? rec->findPending(msg.txn) : nullptr;
     if (!pp) {
         // Only reachable when a watchdog closed this transaction and
         // swept its pending state while the CMP snoop was in flight.
@@ -1141,8 +1185,7 @@ CoherenceController::snoopComplete(NodeId node, SnoopMessage msg)
             _trace->record(TraceEvent::SnoopDone, _queue.now(), msg.txn,
                            msg.line, 0, static_cast<std::uint16_t>(node),
                            found ? 1 : 0, 1);
-        erasePending(node, msg.txn);
-        releaseGate(node, msg.line, msg.txn);
+        retire(node, rec, msg.txn);
         return;
     }
 
@@ -1154,7 +1197,7 @@ CoherenceController::snoopComplete(NodeId node, SnoopMessage msg)
                            found ? 1 : 0);
         if (found) {
             _nodes[node]->supplyRemote(msg.line);
-            supplierHit(node, msg, p);
+            supplierHit(node, msg, rec, p);
             return;
         }
         if (_policy.usesPredictor()) {
@@ -1208,14 +1251,13 @@ CoherenceController::snoopComplete(NodeId node, SnoopMessage msg)
                        ? MsgType::SnoopReply // the request went ahead
                        : MsgType::CombinedRR;
         forwardMessage(node, out);
-        erasePending(node, msg.txn);
-        releaseGate(node, msg.line, msg.txn);
+        retire(node, rec, msg.txn);
         return;
     }
 
     // We received a plain request: a trailing reply exists upstream.
-    if (p.replyBuffered) {
-        SnoopMessage out = p.bufferedReply;
+    if (p.bufferedReply) {
+        SnoopMessage out = *p.bufferedReply;
         out.acksCollected += 1;
         // msg is the held *request*: its count is the authoritative ring
         // coverage (the buffered reply's stopped at its last merge).
@@ -1224,8 +1266,7 @@ CoherenceController::snoopComplete(NodeId node, SnoopMessage msg)
                        ? MsgType::CombinedRR
                        : MsgType::SnoopReply;
         forwardMessage(node, out);
-        erasePending(node, msg.txn);
-        releaseGate(node, msg.line, msg.txn);
+        retire(node, rec, msg.txn);
         return;
     }
     p.requestVisits = msg.visits + 1;
@@ -1234,7 +1275,7 @@ CoherenceController::snoopComplete(NodeId node, SnoopMessage msg)
 
 void
 CoherenceController::supplierHit(NodeId node, SnoopMessage msg,
-                                 NodePending &p)
+                                 GatewayLine *rec, NodePending &p)
 {
     p.snoopFound = true;
     p.sentOwn = true;
@@ -1277,16 +1318,17 @@ CoherenceController::supplierHit(NodeId node, SnoopMessage msg,
     // If a trailing reply can still arrive (we received a plain request
     // and have not buffered it yet), keep the pending entry to discard
     // it; otherwise we are done here.
-    if (p.receivedCombined || p.replyBuffered)
-        erasePending(node, msg.txn);
-    releaseGate(node, msg.line, msg.txn);
+    if (p.receivedCombined || p.bufferedReply)
+        retire(node, rec, msg.txn);
+    else
+        releaseGate(node, rec, msg.txn);
 }
 
 void
-CoherenceController::handleTrailingReply(NodeId node,
+CoherenceController::handleTrailingReply(NodeId node, GatewayLine *rec,
                                          const SnoopMessage &msg)
 {
-    NodePending *p = findPending(node, msg.txn);
+    NodePending *p = rec ? rec->findPending(msg.txn) : nullptr;
     if (!p) {
         // Forward node, or a node that already finished its part.
         forwardMessage(node, msg);
@@ -1295,12 +1337,13 @@ CoherenceController::handleTrailingReply(NodeId node,
     if (p->sentOwn) {
         // We found the line and already replied; the trailing reply
         // carries no new information (paper Table 2): discard it.
-        erasePending(node, msg.txn);
+        dropPending(node, rec, msg.txn);
         return;
     }
     if (p->snoopPending) {
-        p->replyBuffered = true;
-        p->bufferedReply = msg;
+        if (!p->bufferedReply)
+            p->bufferedReply = _msgPool.acquire();
+        *p->bufferedReply = msg;
         return;
     }
     if (p->waitingForReply) {
@@ -1314,14 +1357,12 @@ CoherenceController::handleTrailingReply(NodeId node,
                        ? MsgType::CombinedRR
                        : MsgType::SnoopReply;
         forwardMessage(node, out);
-        erasePending(node, msg.txn);
-        releaseGate(node, msg.line, msg.txn);
+        retire(node, rec, msg.txn);
         return;
     }
     // Unreachable in a correct protocol; keep traffic flowing.
     forwardMessage(node, msg);
-    erasePending(node, msg.txn);
-    releaseGate(node, msg.line, msg.txn);
+    retire(node, rec, msg.txn);
 }
 
 // --------------------------------------------------------------------------
@@ -1441,7 +1482,7 @@ CoherenceController::goToMemory(Transaction &txn)
                        static_cast<std::uint16_t>(txn.requester));
     // Exact-algorithm energy attribution: a memory read that only exists
     // because the predictor downgraded the supplier copy (paper §6.1.4).
-    if (consumeDowngradeMarkAnywhere(txn.line))
+    if (_census.consumeDowngradeMark(txn.line))
         _energy.record(EnergyEvent::DowngradeReRead);
     const TransactionId id = txn.id;
     _queue.schedule(lat, [this, id]() {
@@ -1483,10 +1524,7 @@ CoherenceController::deliverReadData(Transaction &txn, bool from_memory)
         // not collide). Only one of them may assume the Global Master
         // role; the home memory controller serializes, so the fill that
         // settles second takes a non-supplier state.
-        bool supplier_exists = false;
-        for (const auto &other : _nodes)
-            supplier_exists = supplier_exists || other->hasSupplier(line);
-        if (supplier_exists)
+        if (_census.hasSupplier(line))
             node.fillFromRemote(local, line);
         else
             node.fillFromMemory(local, line);
@@ -1565,10 +1603,11 @@ CoherenceController::finishAndErase(TransactionId id)
     if (_trace)
         _trace->record(TraceEvent::TxnRetire, _queue.now(), id, line, 0,
                        static_cast<std::uint16_t>(txn->requester));
-    auto &out = _outstandingByLine[txn->requester];
-    const TransactionId *oid = out.find(line);
-    if (oid && *oid == id)
-        out.erase(line);
+    if (GatewayLine *rec = findLine(txn->requester, line);
+        rec && rec->own == id) {
+        rec->own = kInvalidTransaction;
+        recycleIfIdle(txn->requester, rec);
+    }
     if (std::uint32_t *live = _liveLineRounds.find(line);
         live && --*live == 0)
         _liveLineRounds.erase(line);
@@ -1656,22 +1695,27 @@ CoherenceController::dumpOutstanding(std::ostream &os) const
            << " supplied " << txn->writeDataSupplied << " waiters "
            << txn->waiters.size() << '\n';
     });
-    for (NodeId n = 0; n < _pending.size(); ++n) {
-        _pending[n].forEach([&os, n](TransactionId id,
-                                     const NodePending *p) {
-            os << "pending node " << n << " txn " << id << " prim "
-               << toString(p->prim) << " combined " << p->receivedCombined
-               << " snoopPending " << p->snoopPending << " done "
-               << p->snoopDone << " found " << p->snoopFound << " sentOwn "
-               << p->sentOwn << " buffered " << p->replyBuffered
-               << " waiting " << p->waitingForReply << '\n';
+    for (NodeId n = 0; n < _lines.size(); ++n) {
+        _lines[n].forEach([&os, n](Addr, const GatewayLine *rec) {
+            for (const NodePending &p : rec->pending) {
+                os << "pending node " << n << " txn " << p.txn << " prim "
+                   << toString(p.prim) << " combined "
+                   << p.receivedCombined << " snoopPending "
+                   << p.snoopPending << " done " << p.snoopDone
+                   << " found " << p.snoopFound << " sentOwn "
+                   << p.sentOwn << " buffered "
+                   << (p.bufferedReply != nullptr) << " waiting "
+                   << p.waitingForReply << '\n';
+            }
         });
     }
-    for (NodeId n = 0; n < _gates.size(); ++n) {
-        _gates[n].forEach([&os, n](Addr line, const GateLine *gate) {
+    for (NodeId n = 0; n < _lines.size(); ++n) {
+        _lines[n].forEach([&os, n](Addr line, const GatewayLine *rec) {
+            if (!rec->gateOpen)
+                return;
             os << "gate node " << n << " line 0x" << std::hex << line
-               << std::dec << " active " << gate->active << " deferred "
-               << gate->deferred.size() << '\n';
+               << std::dec << " active " << rec->holder << " deferred "
+               << rec->deferred.size() << '\n';
         });
     }
     for (std::size_t b = 0; b < _bridgeDecisions.size(); ++b) {
@@ -1684,15 +1728,6 @@ CoherenceController::dumpOutstanding(std::ostream &os) const
                << '\n';
         });
     }
-}
-
-bool
-CoherenceController::consumeDowngradeMarkAnywhere(Addr line)
-{
-    bool any = false;
-    for (auto &node : _nodes)
-        any = node->consumeDowngradeMark(line) || any;
-    return any;
 }
 
 } // namespace flexsnoop

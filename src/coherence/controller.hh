@@ -15,7 +15,6 @@
 #ifndef FLEXSNOOP_COHERENCE_CONTROLLER_HH
 #define FLEXSNOOP_COHERENCE_CONTROLLER_HH
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -71,13 +70,14 @@ class CoherenceController : public RequestPort
     /**
      * All references must outlive the controller.
      *
-     * @param nodes one CmpNode per ring position, predictors installed
+     * @param nodes  one CmpNode per ring position, predictors installed
+     * @param census the machine-wide line census the nodes report to
      */
     CoherenceController(EventQueue &queue, RingNetwork &ring,
                         DataNetwork &data, MemoryController &memory,
                         EnergyModel &energy, SnoopPolicy &policy,
                         std::vector<std::unique_ptr<CmpNode>> &nodes,
-                        const CoherenceParams &params);
+                        LineCensus &census, const CoherenceParams &params);
 
     void
     setCompletionHandler(CompletionFn fn) override
@@ -111,14 +111,7 @@ class CoherenceController : public RequestPort
     /** Lines currently write-gated across all nodes — with
      *  outstanding(), the in-flight pressure the telemetry sampler
      *  records (docs/TELEMETRY.md). */
-    std::size_t
-    gatedLines() const
-    {
-        std::size_t total = 0;
-        for (const auto &per_node : _gates)
-            total += per_node.size();
-        return total;
-    }
+    std::size_t gatedLines() const { return _gatedLines; }
 
     /** Dump every in-flight transaction and pending gateway state. */
     void dumpOutstanding(std::ostream &os) const;
@@ -185,7 +178,16 @@ class CoherenceController : public RequestPort
         std::uint64_t chunkAllocs = 0;
     };
     PoolUsage txnPoolUsage() const;
-    PoolUsage pendingPoolUsage() const;
+    /** The gateway line records (live = records in use machine-wide). */
+    PoolUsage linePoolUsage() const;
+
+    /** Node @p node's gateway record of @p line, or nullptr when the
+     *  node tracks nothing about it (tests and debugging). */
+    const GatewayLine *
+    gatewayLine(NodeId node, Addr line) const
+    {
+        return findLine(node, line);
+    }
 
     // Aggregate metrics used by the benches ------------------------------
 
@@ -253,6 +255,14 @@ class CoherenceController : public RequestPort
     /** Reclaim pending snoop state and line gates held by @p id. */
     void sweepTransactionState(TransactionId id, Addr line);
 
+    // --- Gateway line records -------------------------------------------
+    using LineProbe = FlatMap<GatewayLine *>::Probe;
+    GatewayLine *findLine(NodeId node, Addr line) const;
+    /** The record @p probe found, or a fresh one inserted at its slot. */
+    GatewayLine &openLine(NodeId node, LineProbe &probe);
+    /** Return @p rec to the pool if it tracks nothing any more. */
+    void recycleIfIdle(NodeId node, GatewayLine *rec);
+
     // --- Bridge gateway side (hier topology, docs/TOPOLOGY.md) ----------
     /** What a bridge does with a message: fall through to the flat path
      *  inside its block, or hop the global ring past the whole block. */
@@ -268,14 +278,15 @@ class CoherenceController : public RequestPort
      * to the unchanged flat path. Never called for the requester's own
      * block, so every round still terminates at the requester.
      */
-    bool bridgeHandle(NodeId node, const SnoopMessage &msg);
+    bool bridgeHandle(NodeId node, const SnoopMessage &msg,
+                      LineProbe &probe);
     /** First-arrival decision for an active request at a bridge. */
     BridgeAction decideBridge(NodeId node, const SnoopMessage &msg,
                               Cycle &decision_latency,
                               std::uint16_t &pred_trace);
     /** Apply the recorded Skip to @p msg (visit/filter accounting). */
     void bridgeSkipForward(NodeId node, const SnoopMessage &msg,
-                           Cycle decision_latency);
+                           LineProbe &probe, Cycle decision_latency);
     /** Energy/link accounting + the global-ring hop itself. */
     void sendSkipAccounted(NodeId node, const SnoopMessage &msg,
                            Cycle decision_latency);
@@ -297,14 +308,23 @@ class CoherenceController : public RequestPort
     void handleIntermediate(NodeId node, SnoopMessage msg,
                             bool from_gate = false);
     void snoopComplete(NodeId node, SnoopMessage msg);
-    void handleTrailingReply(NodeId node, const SnoopMessage &msg);
-    void supplierHit(NodeId node, SnoopMessage msg, NodePending &p);
+    void handleTrailingReply(NodeId node, GatewayLine *rec,
+                             const SnoopMessage &msg);
+    void supplierHit(NodeId node, SnoopMessage msg, GatewayLine *rec,
+                     NodePending &p);
     void forwardMessage(NodeId node, const SnoopMessage &msg);
-    bool detectCollision(NodeId node, SnoopMessage &msg);
+    bool detectCollision(NodeId node, const GatewayLine *rec,
+                         SnoopMessage &msg);
 
-    NodePending &pending(NodeId node, TransactionId txn);
-    NodePending *findPending(NodeId node, TransactionId txn);
-    void erasePending(NodeId node, TransactionId txn);
+    /** @p txn's pending entry in @p rec, created if absent. */
+    NodePending &pending(GatewayLine &rec, TransactionId txn);
+    /** Remove @p txn's pending entry (if any); keeps the record. */
+    void erasePending(GatewayLine &rec, TransactionId txn);
+    /** Remove @p txn's pending entry, recycling the record if idle. */
+    void dropPending(NodeId node, GatewayLine *rec, TransactionId txn);
+    /** @p txn is done at @p node: drop its pending entry and release
+     *  its gate. @p rec may be recycled; callers must not use it. */
+    void retire(NodeId node, GatewayLine *rec, TransactionId txn);
 
     /**
      * Per-line gateway FIFO: while a SnoopThenForward message for a line
@@ -312,21 +332,19 @@ class CoherenceController : public RequestPort
      * reply), active messages of *other* transactions to the same line
      * are deferred so they cannot overtake it -- the ring's
      * serialization guarantee (paper §2.1.4) depends on this order.
+     * The gate lives in the line's GatewayLine record.
+     *
+     * @return true if @p msg must wait (and was queued) at @p node
      */
-    struct GateLine
-    {
-        TransactionId active = kInvalidTransaction;
-        std::deque<SnoopMessage> deferred;
-    };
-
-    /** True if @p msg must wait (and was queued) at @p node. */
-    bool deferIfGated(NodeId node, const SnoopMessage &msg);
-    /** Mark @p txn as holding the line gate at @p node. */
-    void acquireGate(NodeId node, Addr line, TransactionId txn);
-    /** Release the gate and reprocess the next deferred message. */
-    void releaseGate(NodeId node, Addr line, TransactionId txn);
+    bool deferIfGated(NodeId node, GatewayLine *rec,
+                      const SnoopMessage &msg);
+    /** Mark @p txn as holding @p rec's gate. */
+    void acquireGate(GatewayLine &rec, TransactionId txn);
+    /** Release the gate if @p txn holds it and reprocess the deferred
+     *  messages; recycles @p rec if idle (callers must not use it). */
+    void releaseGate(NodeId node, GatewayLine *rec, TransactionId txn);
     /** Pop deferred messages until one takes the gate or none remain. */
-    void drainGate(NodeId node, Addr line);
+    void drainGate(NodeId node, GatewayLine *rec);
 
     /** Ring snoop of @p node for a read: true if it can supply. */
     bool ringSnoopRead(NodeId node, Addr line);
@@ -334,9 +352,6 @@ class CoherenceController : public RequestPort
     bool ringSnoopWrite(NodeId node, const SnoopMessage &msg);
 
     Transaction *findTransaction(TransactionId id);
-
-    /** Any CMP marked this line as predictor-downgraded? (energy attr.) */
-    bool consumeDowngradeMarkAnywhere(Addr line);
 
     /**
      * Stat handles resolved once at construction. Every per-event
@@ -395,6 +410,7 @@ class CoherenceController : public RequestPort
     EnergyModel &_energy;
     SnoopPolicy &_policy;
     std::vector<std::unique_ptr<CmpNode>> &_nodes;
+    LineCensus &_census;
     CoherenceParams _params;
     std::size_t _coresPerCmp;
 
@@ -409,23 +425,21 @@ class CoherenceController : public RequestPort
      * steady-state protocol path performs no heap allocation.
      */
     SlotPool<Transaction> _txnPool;
-    SlotPool<NodePending> _pendingPool;
     /** Gateway decision/snoop events park their message here and
      *  capture a slot pointer: a 96-byte SnoopMessage captured by
      *  value overflows EventFn's inline buffer (heap allocation on
-     *  every hop). */
+     *  every hop). Buffered trailing replies park here too. */
     SlotPool<SnoopMessage> _msgPool;
-    SlotPool<GateLine> _gatePool;
     FlatMap<Transaction *> _transactions;
-    /** per node: line -> outstanding local txn (merging + collisions). */
-    std::vector<FlatMap<TransactionId>> _outstandingByLine;
-    /** per node: txn -> pending gateway state. */
-    std::vector<FlatMap<NodePending *>> _pending;
-    /** per node: line -> gateway FIFO gate. Gates live in a slot pool
-     *  and the map holds pointers: a recycled GateLine's deque keeps
-     *  its allocated chunk, so per-hop gate churn (and FlatMap slot
-     *  moves) never touches the heap in steady state. */
-    std::vector<FlatMap<GateLine *>> _gates;
+    /** Records live in a slot pool and the maps hold pointers: a
+     *  recycled record keeps its deferred and pending capacity, so
+     *  per-hop churn (and FlatMap slot moves) never touches the heap
+     *  in steady state. */
+    SlotPool<GatewayLine> _linePool;
+    /** per node: line -> gateway record (own txn, gate, pendings). */
+    std::vector<FlatMap<GatewayLine *>> _lines;
+    /** Records whose gate is open, machine-wide. */
+    std::size_t _gatedLines = 0;
 
     /** Unreliable-ring mode; null (zero-cost) by default. */
     FaultInjector *_faults = nullptr;

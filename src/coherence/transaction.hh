@@ -88,15 +88,14 @@ struct Transaction
  */
 struct NodePending
 {
+    TransactionId txn = kInvalidTransaction;
     /** Primitive this node chose for the transaction. */
     Primitive prim = Primitive::Forward;
     bool receivedCombined = false; ///< first message arrived as R/R
     bool snoopPending = false;
     bool snoopDone = false;
     bool snoopFound = false;
-    bool sentOwn = false;       ///< node emitted its reply / combined R/R
-    bool replyBuffered = false; ///< trailing reply waiting for our snoop
-    SnoopMessage bufferedReply;
+    bool sentOwn = false;         ///< node emitted its reply / combined R/R
     bool waitingForReply = false; ///< negative outcome, reply not here yet
     /**
      * A found reply already passed this node while its snoop was still
@@ -109,22 +108,53 @@ struct NodePending
      * so the conclusion carries the request's true ring coverage.
      */
     std::uint32_t requestVisits = 0;
+    /** Trailing reply waiting for our snoop, or null. Kept out of line
+     *  (a pooled slot) so creating an entry stays a few-word write. */
+    SnoopMessage *bufferedReply = nullptr;
+};
 
-    /** Re-initialize a recycled pool slot. */
-    void
-    reset()
+/**
+ * Everything one CMP gateway tracks about one line: the node's own
+ * outstanding transaction on it, the ring-order gate (docs/PROTOCOL.md
+ * §5), and the pending snoops of the transactions passing the node on
+ * it. A transaction has exactly one line, so one lookup by line finds
+ * all of a message's gateway state.
+ */
+struct GatewayLine
+{
+    Addr line = kInvalidAddr;
+    /** This node's own in-flight transaction on the line (request
+     *  merging and collision detection), or kInvalidTransaction. */
+    TransactionId own = kInvalidTransaction;
+    /**
+     * The gate is open from its first acquire until a drain finds it
+     * idle with nothing queued. While a SnoopThenForward message of
+     * `holder` is held here, other transactions' messages for the line
+     * queue in `deferred` so they cannot overtake it.
+     */
+    bool gateOpen = false;
+    TransactionId holder = kInvalidTransaction;
+    /** A vector, not a deque: it allocates nothing until a message
+     *  defers, and the queue rarely holds more than a few. */
+    std::vector<SnoopMessage> deferred;
+    /** Pending snoops on this line; rarely more than one. */
+    std::vector<NodePending> pending;
+
+    NodePending *
+    findPending(TransactionId txn)
     {
-        prim = Primitive::Forward;
-        receivedCombined = false;
-        snoopPending = false;
-        snoopDone = false;
-        snoopFound = false;
-        sentOwn = false;
-        replyBuffered = false;
-        bufferedReply = SnoopMessage{};
-        waitingForReply = false;
-        abandoned = false;
-        requestVisits = 0;
+        for (NodePending &p : pending) {
+            if (p.txn == txn)
+                return &p;
+        }
+        return nullptr;
+    }
+
+    /** Nothing left to track: the record can be recycled. */
+    bool
+    idle() const
+    {
+        return own == kInvalidTransaction && !gateOpen && pending.empty();
     }
 };
 

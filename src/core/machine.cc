@@ -33,6 +33,7 @@ Machine::Machine(const MachineConfig &config)
         auto node = std::make_unique<CmpNode>(
             n, config.coresPerCmp, config.l2Entries, config.l2Ways);
         CmpNode *raw = node.get();
+        node->setCensus(&_census);
         node->setWritebackFn([this](Addr line, bool from_downgrade) {
             _memory->writeback(line);
             if (from_downgrade)
@@ -58,8 +59,8 @@ Machine::Machine(const MachineConfig &config)
 
     _controller = std::make_unique<CoherenceController>(
         _queue, *_ring, *_data, *_memory, _energy, *_policy, _nodes,
-        config.coherence);
-    _checker = std::make_unique<CoherenceChecker>(_nodes);
+        _census, config.coherence);
+    _checker = std::make_unique<CoherenceChecker>(_nodes, _census);
 
     if (config.topology.hierarchical()) {
         _topology =

@@ -119,6 +119,9 @@ class Machine
     std::unique_ptr<RingNetwork> _ring;
     std::unique_ptr<DataNetwork> _data;
     std::unique_ptr<MemoryController> _memory;
+    /** Machine-wide per-line census every node reports to; declared
+     *  before the nodes so it outlives them. */
+    LineCensus _census;
     std::vector<std::unique_ptr<CmpNode>> _nodes;
     std::unique_ptr<CoherenceController> _controller;
     std::unique_ptr<CoherenceChecker> _checker;

@@ -31,10 +31,10 @@ describeStuckState(Machine &machine, WorkloadRunner &runner)
         os << "core " << core.id() << ": issued " << core.refsIssued()
            << ", outstanding " << core.outstanding()
            << (core.atBarrier() ? ", at warmup barrier" : "") << "\n";
-        for (const auto &[line, count] : core.inFlight()) {
+        core.inFlight().forEach([&os](Addr line, unsigned count) {
             os << "  awaiting line 0x" << std::hex << line << std::dec
                << " x" << count << "\n";
-        }
+        });
     }
     machine.controller().dumpOutstanding(os);
     // The telemetry lead-up: how the machine got here, not just the

@@ -3,7 +3,7 @@
  * Open-addressing hash map over 64-bit keys.
  *
  * Replaces std::unordered_map on the coherence controller's hot paths
- * (transactions by id, per-node pendings by txn, outstanding lines).
+ * (transactions by id, per-node gateway line records).
  * Linear probing over a power-of-two table with one control byte per
  * slot. Erase leaves a tombstone, so it never moves an entry.
  *
@@ -22,6 +22,8 @@
  * Values are expected to be small and trivially movable (pointers,
  * ids). A pointer from find() or getOrCreate() stays valid until the
  * next insert of a new key, which may re-pack or grow the table.
+ * probe() serves a lookup and a later insert of the same key with one
+ * probe walk, as long as nothing modifies the map in between.
  */
 
 #ifndef FLEXSNOOP_SIM_FLAT_MAP_HH
@@ -29,6 +31,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <utility>
@@ -80,27 +83,76 @@ class FlatMap
     }
 
     /**
+     * The outcome of one probe walk for a key: its value when mapped,
+     * otherwise the slot insert() fills. Valid until the map is next
+     * modified.
+     */
+    struct Probe
+    {
+        V *value;          ///< the mapped value, or nullptr
+        std::uint64_t key;
+        std::size_t slot;  ///< first free slot of the key's chain
+        std::uint64_t stamp;
+    };
+
+    /** Look @p key up, remembering where an insert would go. */
+    Probe
+    probe(std::uint64_t key)
+    {
+        const std::size_t mask = _ctrl.size() - 1;
+        std::size_t i = hash(key) & mask;
+        std::size_t free = kNotFound;
+        while (_ctrl[i] != kEmpty) {
+            if (_ctrl[i] == kFull) {
+                if (_keys[i] == key)
+                    return {&_values[i], key, i, _stamp};
+            } else if (free == kNotFound) {
+                free = i;
+            }
+            i = (i + 1) & mask;
+        }
+        return {nullptr, key, free == kNotFound ? i : free, _stamp};
+    }
+
+    /**
+     * Map the absent key of @p p to a default-constructed value without
+     * walking its chain again (unless the table must rehash first). The
+     * map must be unmodified since the probe; afterwards p.value points
+     * at the new value.
+     */
+    V &
+    insert(Probe &p)
+    {
+        assert(!p.value && p.stamp == _stamp &&
+               "FlatMap modified between probe() and insert()");
+        std::size_t i = p.slot;
+        if ((_size + _tombstones + 1) * 10 >= _ctrl.size() * 7) {
+            rehash();
+            const std::size_t mask = _ctrl.size() - 1;
+            i = hash(p.key) & mask;
+            while (_ctrl[i] == kFull)
+                i = (i + 1) & mask;
+        }
+        if (_ctrl[i] == kTombstone)
+            --_tombstones;
+        _ctrl[i] = kFull;
+        _keys[i] = p.key;
+        _values[i] = V{};
+        ++_size;
+        ++_stamp;
+        p.value = &_values[i];
+        return _values[i];
+    }
+
+    /**
      * Reference to the value for @p key, default-constructing it (and
-     * the mapping) if absent.
+     * the mapping) if absent. One probe walk either way.
      */
     V &
     getOrCreate(std::uint64_t key)
     {
-        if (V *v = find(key))
-            return *v;
-        if ((_size + _tombstones + 1) * 10 >= _ctrl.size() * 7)
-            rehash();
-        const std::size_t mask = _ctrl.size() - 1;
-        std::size_t i = hash(key) & mask;
-        while (_ctrl[i] == kFull)
-            i = (i + 1) & mask;
-        if (_ctrl[i] == kTombstone)
-            --_tombstones;
-        _ctrl[i] = kFull;
-        _keys[i] = key;
-        _values[i] = V{};
-        ++_size;
-        return _values[i];
+        Probe p = probe(key);
+        return p.value ? *p.value : insert(p);
     }
 
     /** @return true when a mapping was removed. */
@@ -114,6 +166,7 @@ class FlatMap
         _values[i] = V{};
         ++_tombstones;
         --_size;
+        ++_stamp;
         return true;
     }
 
@@ -124,6 +177,7 @@ class FlatMap
         _ctrl.assign(_ctrl.size(), kEmpty);
         _size = 0;
         _tombstones = 0;
+        ++_stamp;
     }
 
     /** Visit every (key, value) pair; iteration order is unspecified. */
@@ -249,6 +303,8 @@ class FlatMap
     std::vector<V> _values;
     std::size_t _size = 0;
     std::size_t _tombstones = 0;
+    /** Modification count: a Probe is valid only at its own stamp. */
+    std::uint64_t _stamp = 0;
 };
 
 } // namespace flexsnoop

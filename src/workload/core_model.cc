@@ -96,7 +96,7 @@ void
 TraceCore::issueRef(const MemRef &ref)
 {
     ++_outstanding;
-    ++_inFlight[lineAddr(ref.addr)];
+    ++_inFlight.getOrCreate(lineAddr(ref.addr));
     (ref.isWrite ? _writesIssued : _readsIssued).inc();
     FS_LOG(Trace, _queue.now(), "core",
            "issue core " << _id << " line 0x" << std::hex
@@ -112,16 +112,16 @@ void
 TraceCore::onCompletion(Addr line)
 {
     line = lineAddr(line);
-    auto it = _inFlight.find(line);
-    if (it == _inFlight.end()) {
+    unsigned *count = _inFlight.find(line);
+    if (!count) {
         FS_LOG(Error, _queue.now(), "core",
                "core " << _id << " completion for unknown line 0x"
                        << std::hex << line << std::dec << " idx " << _idx
                        << " outstanding " << _outstanding);
     }
-    assert(it != _inFlight.end() && "completion for unknown access");
-    if (--it->second == 0)
-        _inFlight.erase(it);
+    assert(count && "completion for unknown access");
+    if (--*count == 0)
+        _inFlight.erase(line);
     assert(_outstanding > 0);
     --_outstanding;
     _completions.inc();

@@ -16,11 +16,11 @@
 
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "coherence/request_port.hh"
 #include "sim/event_queue.hh"
+#include "sim/flat_map.hh"
 #include "sim/stats.hh"
 #include "workload/trace.hh"
 
@@ -65,10 +65,7 @@ class TraceCore
     const StatGroup &stats() const { return _stats; }
 
     /** Debug: lines with missing completions (line -> count). */
-    const std::unordered_map<Addr, unsigned> &inFlight() const
-    {
-        return _inFlight;
-    }
+    const FlatMap<unsigned> &inFlight() const { return _inFlight; }
 
   private:
     void tryIssue();
@@ -84,8 +81,9 @@ class TraceCore
     std::size_t _idx = 0;
     std::size_t _outstanding = 0;
     /** Completions are matched per line (merged requests complete once
-     *  per requesting core). */
-    std::unordered_map<Addr, unsigned> _inFlight;
+     *  per requesting core). A FlatMap: issuing a reference allocates
+     *  nothing once the table reaches its high-water mark. */
+    FlatMap<unsigned> _inFlight;
     Cycle _nextIssue = 0;
     bool _issueScheduled = false;
     bool _atBarrier = false;

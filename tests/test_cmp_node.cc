@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the CMP node: supplier-set tracking, protocol
- * transitions for local/remote supply, write invalidation, and the
- * Exact-predictor downgrade path.
+ * transitions for local/remote supply, write invalidation, the
+ * Exact-predictor downgrade path, and the machine-wide line census the
+ * node reports to.
  */
 
 #include <gtest/gtest.h>
@@ -30,11 +31,13 @@ class CmpNodeTest : public ::testing::Test
   protected:
     CmpNodeTest() : node(0, 4, 64, 4)
     {
+        node.setCensus(&census);
         node.setWritebackFn([this](Addr line, bool from_downgrade) {
             writebacks.emplace_back(line, from_downgrade);
         });
     }
 
+    LineCensus census;
     CmpNode node;
     std::vector<std::pair<Addr, bool>> writebacks;
 };
@@ -179,8 +182,8 @@ TEST_F(CmpNodeTest, DowngradeDirtyWritesBackAndKeepsSl)
     EXPECT_TRUE(node.hasLocalSupplier(lineAt(8)));
     ASSERT_EQ(writebacks.size(), 1u);
     EXPECT_TRUE(writebacks[0].second); // downgrade writeback
-    EXPECT_TRUE(node.consumeDowngradeMark(lineAt(8)));
-    EXPECT_FALSE(node.consumeDowngradeMark(lineAt(8)));
+    EXPECT_TRUE(census.consumeDowngradeMark(lineAt(8)));
+    EXPECT_FALSE(census.consumeDowngradeMark(lineAt(8)));
 }
 
 TEST_F(CmpNodeTest, DowngradeCleanIsSilent)
@@ -195,6 +198,39 @@ TEST_F(CmpNodeTest, DowngradeWithoutSupplierIsNoOp)
 {
     EXPECT_FALSE(node.downgrade(lineAt(10)));
     EXPECT_EQ(node.stats().counterValue("downgrades"), 0u);
+    EXPECT_FALSE(census.consumeDowngradeMark(lineAt(10)));
+}
+
+TEST_F(CmpNodeTest, CensusCountsSupplierCmps)
+{
+    // A second CMP reporting to the same census: the count is per
+    // CMP, not per cached copy.
+    CmpNode other(1, 2, 64, 4);
+    other.setCensus(&census);
+
+    node.fillFromMemory(0, lineAt(14)); // SG
+    node.fillFromRemote(1, lineAt(14)); // S: not a second supplier
+    EXPECT_EQ(census.supplierCmps(lineAt(14)), 1u);
+    other.fillForWrite(0, lineAt(14)); // D in another CMP
+    EXPECT_EQ(census.supplierCmps(lineAt(14)), 2u);
+    EXPECT_EQ(census.supplierLines(), 1u);
+
+    node.downgrade(lineAt(14)); // SG -> SL
+    EXPECT_EQ(census.supplierCmps(lineAt(14)), 1u);
+    other.invalidateAll(lineAt(14));
+    EXPECT_FALSE(census.hasSupplier(lineAt(14)));
+    EXPECT_EQ(census.supplierLines(), 0u);
+}
+
+TEST_F(CmpNodeTest, LateCensusInstallSyncsExistingSuppliers)
+{
+    CmpNode late(2, 2, 64, 4);
+    late.fillFromMemory(0, lineAt(15));
+    late.fillFromRemote(1, lineAt(16)); // SL: no supplier
+    LineCensus fresh;
+    late.setCensus(&fresh);
+    EXPECT_EQ(fresh.supplierCmps(lineAt(15)), 1u);
+    EXPECT_FALSE(fresh.hasSupplier(lineAt(16)));
 }
 
 TEST_F(CmpNodeTest, PredictorIsTrainedOnSupplierChanges)

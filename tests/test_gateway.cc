@@ -2,13 +2,23 @@
  * @file
  * Regression tests for the gateway's per-line FIFO gate and the
  * squash-while-memory-pending path — the ring-serialization corner
- * cases that randomized traffic uncovered during development.
+ * cases that randomized traffic uncovered during development — and for
+ * the lifetime of the per-node gateway line records that hold the gate,
+ * the pending snoops and the node's own transaction.
  */
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "core/experiment.hh"
 #include "core/machine.hh"
+#include "sim/fault_injector.hh"
 #include "sim/random.hh"
+#include "snoop/snoop_policy.hh"
+#include "workload/core_model.hh"
+#include "workload/synthetic_generator.hh"
 
 namespace flexsnoop
 {
@@ -159,6 +169,157 @@ TEST(GatewayGate, HeavyMigratorySingleLineStress)
         EXPECT_EQ(machine.controller().outstanding(), 0u) << toString(a);
     }
 }
+
+/** A read message for @p txn of @p line, crafted as if node 0 issued
+ *  it (no Transaction exists, so node 0 absorbs it at the end). */
+SnoopMessage
+craftedRead(TransactionId txn, Addr line, MsgType type)
+{
+    SnoopMessage msg;
+    msg.type = type;
+    msg.kind = SnoopKind::Read;
+    msg.txn = txn;
+    msg.line = line;
+    msg.requester = 0;
+    return msg;
+}
+
+TEST(GatewayRecord, OutlivesItsReleasedGateWhileAPendingEntryRemains)
+{
+    // A plain request (its trailing reply still upstream) finds the
+    // supplier at node 1: the snoop releases the gate at once but keeps
+    // the pending entry that will discard the trailing reply.
+    Machine machine(MachineConfig::testDefault(Algorithm::Lazy));
+    const CoherenceController &ctrl = machine.controller();
+    const Addr line = lineAt(9);
+    machine.node(1).fillForWrite(0, line);
+
+    machine.ring().send(0, craftedRead(1000, line, MsgType::SnoopRequest));
+    machine.queue().run();
+
+    const GatewayLine *rec = ctrl.gatewayLine(1, line);
+    ASSERT_NE(rec, nullptr) << "record recycled under a live pending entry";
+    EXPECT_FALSE(rec->gateOpen);
+    EXPECT_EQ(ctrl.gatedLines(), 0u);
+    ASSERT_EQ(rec->pending.size(), 1u);
+    EXPECT_TRUE(rec->pending.front().sentOwn);
+    EXPECT_EQ(ctrl.linePoolUsage().live, 1u);
+
+    // The trailing reply is discarded there, and the record with it.
+    machine.ring().send(0, craftedRead(1000, line, MsgType::SnoopReply));
+    machine.queue().run();
+    EXPECT_EQ(ctrl.gatewayLine(1, line), nullptr);
+    EXPECT_EQ(ctrl.linePoolUsage().live, 0u);
+}
+
+TEST(GatewayRecord, OutlivesEachReleaseWhileDeferredMessagesRemain)
+{
+    // Three reads of one line reach node 1 back to back under Lazy: the
+    // first holds the gate, the others defer. Each release hands the
+    // gate to the next deferred message in arrival order; the record
+    // lives until the last one leaves.
+    Machine machine(MachineConfig::testDefault(Algorithm::Lazy));
+    const CoherenceController &ctrl = machine.controller();
+    const Addr line = lineAt(10);
+    for (TransactionId txn : {2001, 2002, 2003})
+        machine.ring().send(0, craftedRead(txn, line, MsgType::CombinedRR));
+
+    std::vector<TransactionId> holders;
+    std::size_t max_deferred = 0;
+    while (machine.queue().step()) {
+        const GatewayLine *rec = ctrl.gatewayLine(1, line);
+        if (!rec)
+            continue;
+        if (!rec->deferred.empty()) {
+            EXPECT_TRUE(rec->gateOpen);
+            EXPECT_GE(ctrl.gatedLines(), 1u);
+        }
+        max_deferred = std::max(max_deferred, rec->deferred.size());
+        if (rec->holder != kInvalidTransaction &&
+            (holders.empty() || holders.back() != rec->holder))
+            holders.push_back(rec->holder);
+    }
+    EXPECT_EQ(max_deferred, 2u) << "test should queue behind the gate";
+    EXPECT_EQ(holders, (std::vector<TransactionId>{2001, 2002, 2003}));
+    EXPECT_EQ(ctrl.gatewayLine(1, line), nullptr);
+    EXPECT_EQ(ctrl.gatedLines(), 0u);
+    EXPECT_EQ(ctrl.linePoolUsage().live, 0u);
+    EXPECT_GT(ctrl.linePoolUsage().acquires, 0u);
+}
+
+struct DrainCase
+{
+    Algorithm algorithm;
+    bool hier;   ///< two local rings instead of the flat ring
+    bool faults; ///< drop/dup/delay/predictor faults, watchdog armed
+};
+
+std::vector<DrainCase>
+drainCases()
+{
+    std::vector<DrainCase> cases;
+    for (Algorithm a : paperAlgorithms())
+        for (bool hier : {false, true})
+            for (bool faults : {false, true})
+                cases.push_back({a, hier, faults});
+    return cases;
+}
+
+class GatewayDrain : public ::testing::TestWithParam<DrainCase>
+{
+};
+
+/**
+ * The drain invariant: once a run's queue is empty, no gateway record
+ * is live and no gate is open, on every paper algorithm, flat and
+ * hierarchical, with and without injected faults (where watchdog
+ * sweeps and bridge Forward markers reclaim the state of lost rounds).
+ */
+TEST_P(GatewayDrain, NoRecordOutlivesTheRun)
+{
+    const DrainCase c = GetParam();
+    static const CoreTraces traces =
+        SyntheticGenerator(miniProfile()).generate();
+    MachineConfig cfg = sweepConfig(c.algorithm, miniProfile());
+    if (c.hier) {
+        cfg.topology.kind = TopologyKind::Hier;
+        cfg.topology.localRings = 2;
+    }
+    if (c.faults) {
+        cfg.faults.dropRate = 1e-3;
+        cfg.faults.dupRate = 1e-3;
+        cfg.faults.delayRate = 1e-3;
+        cfg.faults.predictorRate = 1e-3;
+        cfg.faults.seed = 1;
+        cfg.coherence.watchdogCycles = 20000;
+    }
+    Machine machine(cfg);
+    WorkloadRunner runner(machine.queue(), machine.controller(), traces,
+                          cfg.core);
+    runner.run();
+
+    const CoherenceController &ctrl = machine.controller();
+    ASSERT_TRUE(runner.allDone());
+    if (const FaultInjector *f = machine.faultInjector()) {
+        EXPECT_GT(f->dropsInjected() + f->dupsInjected() +
+                      f->delaysInjected(),
+                  0u)
+            << "faults must land for the sweeps to be exercised";
+    }
+    EXPECT_EQ(ctrl.outstanding(), 0u);
+    EXPECT_EQ(ctrl.gatedLines(), 0u);
+    EXPECT_EQ(ctrl.linePoolUsage().live, 0u);
+    EXPECT_GT(ctrl.linePoolUsage().acquires, 0u);
+    EXPECT_TRUE(machine.checker().consistent());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    PaperAlgorithms, GatewayDrain, ::testing::ValuesIn(drainCases()),
+    [](const ::testing::TestParamInfo<DrainCase> &info) {
+        return std::string(toString(info.param.algorithm)) +
+               (info.param.hier ? "_hier2" : "_flat") +
+               (info.param.faults ? "_faults" : "_clean");
+    });
 
 } // namespace
 } // namespace flexsnoop

@@ -95,6 +95,42 @@ TEST(FlatMap, PutFindErase)
     EXPECT_EQ(map.size(), 1u);
 }
 
+TEST(FlatMap, ProbeServesTheLookupAndTheInsert)
+{
+    FlatMap<int> map;
+    auto p = map.probe(7);
+    EXPECT_EQ(p.value, nullptr);
+    map.insert(p) = 3;
+    ASSERT_NE(p.value, nullptr);
+    EXPECT_EQ(*p.value, 3);
+    EXPECT_EQ(*map.find(7), 3);
+    auto q = map.probe(7);
+    ASSERT_NE(q.value, nullptr);
+    EXPECT_EQ(*q.value, 3);
+
+    // Inserts that cross the rehash threshold (the probe's slot is then
+    // stale, so insert walks the grown table) still land.
+    for (std::uint64_t k = 100; k < 300; ++k) {
+        auto r = map.probe(k);
+        ASSERT_EQ(r.value, nullptr);
+        map.insert(r) = static_cast<int>(k);
+    }
+    // Erased keys leave tombstones that a probe offers for reuse.
+    for (std::uint64_t k = 100; k < 300; k += 2)
+        EXPECT_TRUE(map.erase(k));
+    const std::size_t capacity = map.capacity();
+    for (std::uint64_t k = 1000; k < 1100; ++k) {
+        auto r = map.probe(k);
+        map.insert(r) = static_cast<int>(k);
+    }
+    EXPECT_EQ(map.capacity(), capacity);
+    EXPECT_EQ(map.size(), 1u + 100u + 100u);
+    for (std::uint64_t k = 101; k < 300; k += 2)
+        EXPECT_EQ(*map.find(k), static_cast<int>(k));
+    for (std::uint64_t k = 1000; k < 1100; ++k)
+        EXPECT_EQ(*map.find(k), static_cast<int>(k));
+}
+
 TEST(FlatMap, GetOrCreateDefaultConstructs)
 {
     FlatMap<int *> map;
