@@ -103,8 +103,11 @@ main()
     scaleProfile(profile, 10000, 3000);
 
     std::cerr << "  running pure Con and Agg...\n";
-    const RunResult con = runOne(Algorithm::SupersetCon, profile);
-    const RunResult agg = runOne(Algorithm::SupersetAgg, profile);
+    const SweepResult pure = runSweeps(
+        {Algorithm::SupersetCon, Algorithm::SupersetAgg}, {profile},
+        benchJobs())[0];
+    const RunResult &con = pure.runs[0];
+    const RunResult &agg = pure.runs[1];
 
     // Budget thresholds between Con's and Agg's per-request energy.
     const double con_per_req = con.energyNj / con.readRingRequests;

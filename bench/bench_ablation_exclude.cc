@@ -32,6 +32,22 @@ main()
     profiles.push_back(jbbBenchProfile(10000, 2500));
     profiles.push_back(webBenchProfile(10000, 2500));
 
+    // One plan: each workload's traces are replayed with and without
+    // the Exclude cache. (predictor, Exclude-cache label) per variant:
+    const std::vector<std::pair<std::string, std::string>> variants = {
+        {"y2k", "2k"}, {"y0", "none"}};
+    SweepPlan plan = planSweep({}, profiles, benchJobs());
+    for (std::size_t p = 0; p < profiles.size(); ++p) {
+        for (const auto &variant : variants) {
+            plan.cells.push_back(PlannedCell{
+                sweepConfig(Algorithm::SupersetCon, profiles[p],
+                            variant.first),
+                p, profiles[p].name});
+        }
+    }
+    std::cerr << "  running " << plan.cells.size() << " simulations...\n";
+    const std::vector<RunResult> runs = runBenchCells(plan);
+
     std::cout << '\n'
               << std::left << std::setw(12) << "workload" << std::setw(10)
               << "exclude" << std::right << std::setw(10) << "FP rate"
@@ -39,22 +55,17 @@ main()
               << "energy (uJ)" << '\n'
               << std::string(58, '-') << '\n';
 
-    for (const auto &profile : profiles) {
-        std::cerr << "  running " << profile.name << "...\n";
-        for (const char *pred : {"y2k", "y0"}) {
-            const RunResult r =
-                runOne(Algorithm::SupersetCon, profile, pred);
-            const double preds = static_cast<double>(r.predictions());
-            std::cout << std::left << std::setw(12) << profile.name
-                      << std::setw(10)
-                      << (std::string(pred) == "y2k" ? "2k" : "none")
-                      << std::right << std::fixed << std::setprecision(3)
-                      << std::setw(10)
-                      << (preds ? r.falsePositives / preds : 0.0)
-                      << std::setprecision(2) << std::setw(12)
-                      << r.snoopsPerReadRequest << std::setprecision(1)
-                      << std::setw(14) << r.energyNj / 1e3 << '\n';
-        }
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const RunResult &r = runs[i];
+        const double preds = static_cast<double>(r.predictions());
+        std::cout << std::left << std::setw(12) << r.workload
+                  << std::setw(10) << variants[i % variants.size()].second
+                  << std::right << std::fixed << std::setprecision(3)
+                  << std::setw(10)
+                  << (preds ? r.falsePositives / preds : 0.0)
+                  << std::setprecision(2) << std::setw(12)
+                  << r.snoopsPerReadRequest << std::setprecision(1)
+                  << std::setw(14) << r.energyNj / 1e3 << '\n';
     }
 
     std::cout << "\npaper expectation: removing the Exclude cache raises "

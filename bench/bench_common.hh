@@ -1,8 +1,8 @@
 /**
  * @file
  * Shared helpers for the figure/table benches: standard workload sets
- * sized for bench runtime, parallel sweep execution, machine-readable
- * perf records, and printing utilities.
+ * sized for bench runtime, sweep execution, machine-readable perf
+ * records, and printing utilities.
  */
 
 #ifndef FLEXSNOOP_BENCH_BENCH_COMMON_HH
@@ -12,6 +12,7 @@
 #include <fstream>
 #include <iomanip>
 #include <iostream>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -88,6 +89,20 @@ scaleProfile(WorkloadProfile &p, std::size_t refs, std::size_t warmup)
     p.warmupRefs = static_cast<std::size_t>(warmup * s);
 }
 
+/** runCells() on @p jobs workers; a failed cell aborts the bench. */
+inline std::vector<RunResult>
+runBenchCells(const SweepPlan &plan, std::size_t jobs = benchJobs())
+{
+    std::vector<RunResult> runs = runCells(plan, jobs);
+    for (const RunResult &r : runs) {
+        if (r.failed) {
+            throw std::runtime_error(r.workload + " / " + r.algorithm +
+                                     ": " + r.error);
+        }
+    }
+    return runs;
+}
+
 /** The 11 SPLASH-2 profiles at bench size. */
 inline std::vector<WorkloadProfile>
 splashBenchProfiles(std::size_t refs = 8000, std::size_t warmup = 2500)
@@ -137,7 +152,7 @@ runPaperSweeps(std::size_t splash_refs = 8000,
     std::cerr << "  running " << profiles.size() << " workloads x "
               << algos.size() << " algorithms on " << jobs
               << " worker(s)...\n";
-    std::vector<SweepResult> sweeps = runMatrix(algos, profiles, jobs);
+    std::vector<SweepResult> sweeps = runSweeps(algos, profiles, jobs);
 
     PaperSweeps out;
     out.web = std::move(sweeps.back());

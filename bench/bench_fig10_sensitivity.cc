@@ -55,35 +55,23 @@ main()
     workloads.push_back(jbbBenchProfile(8000, 2000));
     workloads.push_back(webBenchProfile(8000, 2000));
 
-    // Every (algorithm, workload, predictor) cell is an independent
-    // runOne(); flatten the whole sweep into one batch so it spreads
-    // across the worker pool.
-    struct Cell
-    {
-        Algorithm algo;
-        std::size_t workload;
-        std::string predictor;
-    };
-    std::vector<Cell> cells;
+    // One plan: each workload's traces are generated once and replayed
+    // by every (algorithm, predictor) cell.
+    const std::size_t jobs = benchJobs();
+    const auto start = std::chrono::steady_clock::now();
+    SweepPlan plan = planSweep({}, workloads, jobs);
     for (const auto &cfg : sweeps_cfg) {
         for (std::size_t w = 0; w < workloads.size(); ++w) {
-            for (const auto &pred : cfg.predictors)
-                cells.push_back(Cell{cfg.algo, w, pred});
+            for (const auto &pred : cfg.predictors) {
+                plan.cells.push_back(PlannedCell{
+                    sweepConfig(cfg.algo, workloads[w], pred), w,
+                    workloads[w].name});
+            }
         }
     }
-
-    const std::size_t jobs = benchJobs();
-    std::cerr << "  running " << cells.size() << " simulations on "
+    std::cerr << "  running " << plan.cells.size() << " simulations on "
               << jobs << " worker(s)...\n";
-    const auto start = std::chrono::steady_clock::now();
-    ParallelExecutor pool(jobs);
-    const std::vector<double> exec_cycles =
-        pool.map(cells.size(), [&](std::size_t i) {
-            const Cell &c = cells[i];
-            return static_cast<double>(
-                runOne(c.algo, workloads[c.workload], c.predictor)
-                    .execCycles);
-        });
+    const std::vector<RunResult> runs = runBenchCells(plan, jobs);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)
@@ -105,7 +93,8 @@ main()
         for (std::size_t w = 0; w < workloads.size(); ++w) {
             std::vector<double> app_exec;
             for (std::size_t p = 0; p < cfg.predictors.size(); ++p)
-                app_exec.push_back(exec_cycles[cell++]);
+                app_exec.push_back(
+                    static_cast<double>(runs[cell++].execCycles));
             by_workload.push_back(std::move(app_exec));
         }
 
@@ -135,9 +124,9 @@ main()
         "fig10_sensitivity",
         {{"wall_seconds", wall_s},
          {"jobs", static_cast<double>(jobs)},
-         {"simulations", static_cast<double>(cells.size())},
+         {"simulations", static_cast<double>(runs.size())},
          {"simulations_per_second",
-          wall_s > 0.0 ? cells.size() / wall_s : 0.0}});
+          wall_s > 0.0 ? runs.size() / wall_s : 0.0}});
 
     std::cout << "\npaper expectation: near-flat rows (within a few "
                  "percent), except Exact on SPLASH-2 where the small "

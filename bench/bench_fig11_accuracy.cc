@@ -67,14 +67,28 @@ main()
         {"Exa8k", Algorithm::Exact, "exa8k"},
     };
 
-    std::vector<WorkloadProfile> splash_apps;
+    std::vector<WorkloadProfile> workloads;
     for (const auto &name : {"barnes", "ocean", "raytrace", "water-nsq"}) {
         auto p = profileByName(name);
         scaleProfile(p, 6000, 2000);
-        splash_apps.push_back(p);
+        workloads.push_back(p);
     }
-    const auto jbb = jbbBenchProfile(8000, 2000);
-    const auto web = webBenchProfile(8000, 2000);
+    const std::size_t splash_apps = workloads.size();
+    workloads.push_back(jbbBenchProfile(8000, 2000));
+    workloads.push_back(webBenchProfile(8000, 2000));
+
+    // One plan: each workload's traces are generated once and replayed
+    // by every predictor configuration.
+    SweepPlan plan = planSweep({}, workloads, benchJobs());
+    for (const auto &cfg : configs) {
+        for (std::size_t w = 0; w < workloads.size(); ++w) {
+            plan.cells.push_back(PlannedCell{
+                sweepConfig(cfg.algo, workloads[w], cfg.predictor), w,
+                workloads[w].name});
+        }
+    }
+    std::cerr << "  running " << plan.cells.size() << " simulations...\n";
+    const std::vector<RunResult> runs = runBenchCells(plan);
 
     std::cout << '\n'
               << std::left << std::setw(11) << "predictor" << std::setw(10)
@@ -93,20 +107,18 @@ main()
                   << std::setw(9) << row.fn << '\n';
     };
 
-    for (const auto &cfg : configs) {
-        std::cerr << "  running " << cfg.label << "...\n";
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+        const RunResult *row_runs = &runs[c * workloads.size()];
         AccuracyRow splash_row;
-        for (const auto &app : splash_apps) {
-            const RunResult r = runOne(cfg.algo, app, cfg.predictor);
-            splash_row.accumulate(r, 1.0 / splash_apps.size());
-        }
-        print_row(cfg.label, "SPLASH-2", splash_row);
+        for (std::size_t w = 0; w < splash_apps; ++w)
+            splash_row.accumulate(row_runs[w], 1.0 / splash_apps);
+        print_row(configs[c].label, "SPLASH-2", splash_row);
         AccuracyRow jbb_row;
-        jbb_row.accumulate(runOne(cfg.algo, jbb, cfg.predictor), 1.0);
-        print_row(cfg.label, "SPECjbb", jbb_row);
+        jbb_row.accumulate(row_runs[splash_apps], 1.0);
+        print_row(configs[c].label, "SPECjbb", jbb_row);
         AccuracyRow web_row;
-        web_row.accumulate(runOne(cfg.algo, web, cfg.predictor), 1.0);
-        print_row(cfg.label, "SPECweb", web_row);
+        web_row.accumulate(row_runs[splash_apps + 1], 1.0);
+        print_row(configs[c].label, "SPECweb", web_row);
         std::cout << '\n';
     }
 

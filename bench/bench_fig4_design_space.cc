@@ -57,28 +57,18 @@ main()
     std::cerr << "  serial matrix (" << apps.size() << " apps x "
               << paperAlgorithms().size() << " algorithms)...\n";
     const auto serial_start = std::chrono::steady_clock::now();
-    std::vector<SweepResult> serial;
-    for (const auto &app : apps)
-        serial.push_back(runSweep(paperAlgorithms(), app));
+    const std::vector<SweepResult> serial =
+        runSweeps(paperAlgorithms(), apps, 1);
     const double serial_s = secondsSince(serial_start);
 
     std::cerr << "  parallel matrix (" << jobs << " workers)...\n";
     const auto parallel_start = std::chrono::steady_clock::now();
     const std::vector<SweepResult> sweeps =
-        runMatrix(paperAlgorithms(), apps, jobs);
+        runSweeps(paperAlgorithms(), apps, jobs);
     const double parallel_s = secondsSince(parallel_start);
 
-    bool identical = serial.size() == sweeps.size();
-    for (std::size_t i = 0; identical && i < sweeps.size(); ++i) {
-        for (std::size_t j = 0; j < sweeps[i].runs.size(); ++j) {
-            const RunResult &a = serial[i].runs[j];
-            const RunResult &b = sweeps[i].runs[j];
-            identical = identical && a.execCycles == b.execCycles &&
-                        a.readSnoops == b.readSnoops &&
-                        a.energyNj == b.energyNj &&
-                        a.avgReadLatency == b.avgReadLatency;
-        }
-    }
+    // Every RunResult field, doubles compared exactly.
+    const bool identical = serial == sweeps;
 
     struct Point
     {

@@ -67,14 +67,14 @@ main()
     std::cerr << "  " << node_counts.size() << " node counts x 2 "
               << "topologies x " << algos.size() << " algorithms on "
               << benchJobs() << " worker(s)...\n";
-    const std::vector<HierSweepCell> cells =
-        runHierSweep(algos, node_counts, benchJobs(), 62, base);
+    const std::vector<RunResult> runs = runBenchCells(
+        planHierSweep(algos, node_counts, benchJobs(), 62, base));
 
-    // cells order: node_counts x {flat, hier} x algorithms.
+    // runs order: node_counts x {flat, hier} x algorithms.
     const std::size_t width = algos.size();
     const auto cell = [&](std::size_t n_idx, bool hier,
-                          std::size_t a_idx) -> const HierSweepCell & {
-        return cells[n_idx * 2 * width + (hier ? width : 0) + a_idx];
+                          std::size_t a_idx) -> const RunResult & {
+        return runs[n_idx * 2 * width + (hier ? width : 0) + a_idx];
     };
 
     std::cout << '\n'
@@ -90,8 +90,8 @@ main()
         const std::string name = lowerName(algos[a]);
         const bool gates = canSkipReads(algos[a]);
         for (std::size_t n = 0; n < node_counts.size(); ++n) {
-            const RunResult &flat = cell(n, false, a).result;
-            const RunResult &hier = cell(n, true, a).result;
+            const RunResult &flat = cell(n, false, a);
+            const RunResult &hier = cell(n, true, a);
             const double ratio =
                 hier.avgReadLatency > 0.0
                     ? flat.avgReadLatency / hier.avgReadLatency
@@ -119,8 +119,7 @@ main()
 
     // Bridge effectiveness at the largest machine (informational).
     for (std::size_t a = 0; a < width; ++a) {
-        const RunResult &hier =
-            cell(node_counts.size() - 1, true, a).result;
+        const RunResult &hier = cell(node_counts.size() - 1, true, a);
         const double decisions = static_cast<double>(
             hier.bridgeSkips + hier.bridgeDescends);
         metrics.emplace_back(

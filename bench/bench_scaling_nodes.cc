@@ -32,6 +32,20 @@ main()
         Algorithm::Oracle,
     };
 
+    std::vector<WorkloadProfile> profiles;
+    for (std::size_t n : node_counts) {
+        WorkloadProfile profile = specWebProfile();
+        profile.name = "web" + std::to_string(n);
+        profile.numCores = n;
+        profile.coresPerCmp = 1;
+        scaleProfile(profile, 6000, 1500);
+        profiles.push_back(profile);
+    }
+    std::cerr << "  running " << profiles.size() << " node counts x "
+              << algos.size() << " algorithms...\n";
+    const std::vector<SweepResult> sweeps =
+        runSweeps(algos, profiles, benchJobs());
+
     std::cout << '\n'
               << std::left << std::setw(13) << "algorithm" << std::right
               << std::setw(7) << "CMPs" << std::setw(13) << "snoops/req"
@@ -39,21 +53,16 @@ main()
               << "exec cycles" << '\n'
               << std::string(60, '-') << '\n';
 
-    for (Algorithm a : algos) {
-        for (std::size_t n : node_counts) {
-            WorkloadProfile profile = specWebProfile();
-            profile.name = "web" + std::to_string(n);
-            profile.numCores = n;
-            profile.coresPerCmp = 1;
-            scaleProfile(profile, 6000, 1500);
-            std::cerr << "  " << toString(a) << " n=" << n << "...\n";
-            const RunResult r = runOne(a, profile);
-            std::cout << std::left << std::setw(13) << toString(a)
-                      << std::right << std::setw(7) << n << std::fixed
-                      << std::setprecision(2) << std::setw(13)
-                      << r.snoopsPerReadRequest << std::setprecision(0)
-                      << std::setw(13) << r.avgReadLatency
-                      << std::setw(14) << r.execCycles << '\n';
+    for (std::size_t a = 0; a < algos.size(); ++a) {
+        for (std::size_t n = 0; n < node_counts.size(); ++n) {
+            const RunResult &r = sweeps[n].runs[a];
+            std::cout << std::left << std::setw(13) << toString(algos[a])
+                      << std::right << std::setw(7) << node_counts[n]
+                      << std::fixed << std::setprecision(2)
+                      << std::setw(13) << r.snoopsPerReadRequest
+                      << std::setprecision(0) << std::setw(13)
+                      << r.avgReadLatency << std::setw(14)
+                      << r.execCycles << '\n';
         }
         std::cout << '\n';
     }

@@ -20,7 +20,6 @@
 #include <iostream>
 
 #include "bench_common.hh"
-#include "core/simulation.hh"
 #include "workload/uniform_generator.hh"
 
 using namespace flexsnoop;
@@ -36,21 +35,20 @@ main()
     UniformWorkloadParams params;
     params.numCores = n;
     params.linesPerReader = 96;
-    const CoreTraces traces = UniformGenerator(params).generate();
 
-    // The three baselines share the same traces and are independent, so
-    // they run concurrently; results come back in submission order.
+    // The three baselines replay the same traces and are independent,
+    // so they run concurrently; results come back in plan order.
     const std::vector<Algorithm> algos = {Algorithm::Lazy,
                                           Algorithm::Eager,
                                           Algorithm::Oracle};
+    SweepPlan plan;
+    plan.traces.push_back(UniformGenerator(params).generate());
+    for (Algorithm a : algos)
+        plan.cells.push_back(
+            PlannedCell{MachineConfig::paperDefault(a, 1), 0, "uniform"});
     const std::size_t jobs = std::min(benchJobs(), algos.size());
     const auto start = std::chrono::steady_clock::now();
-    ParallelExecutor pool(jobs);
-    const std::vector<RunResult> results =
-        pool.map(algos.size(), [&](std::size_t i) {
-            MachineConfig cfg = MachineConfig::paperDefault(algos[i], 1);
-            return runSimulation(cfg, traces, "uniform");
-        });
+    const std::vector<RunResult> results = runBenchCells(plan, jobs);
     const double wall_s =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       start)

@@ -33,7 +33,8 @@ main()
         Algorithm::Lazy,        Algorithm::Subset, Algorithm::SupersetCon,
         Algorithm::SupersetAgg, Algorithm::Exact,
     };
-    const SweepResult sweep = runSweep(algos, profile);
+    const SweepResult sweep =
+        runSweeps(algos, {profile}, benchJobs()).front();
     const RunResult &lazy = sweep.byAlgorithm(Algorithm::Lazy);
 
     std::cout << '\n'

@@ -13,6 +13,7 @@
 #include <iostream>
 
 #include "core/experiment.hh"
+#include "core/parallel_executor.hh"
 
 using namespace flexsnoop;
 
@@ -23,7 +24,10 @@ void
 study(const WorkloadProfile &profile)
 {
     std::cout << "\n=== " << profile.name << " ===\n";
-    const SweepResult sweep = runSweep(paperAlgorithms(), profile);
+    const SweepResult sweep =
+        runSweeps(paperAlgorithms(), {profile},
+                  ParallelExecutor::defaultWorkers())
+            .front();
     const RunResult &lazy = sweep.byAlgorithm(Algorithm::Lazy);
 
     std::cout << std::left << std::setw(13) << "algorithm" << std::right

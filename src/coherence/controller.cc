@@ -1456,7 +1456,15 @@ CoherenceController::handleAtRequester(Transaction &txn,
                        txn.line, 0,
                        static_cast<std::uint16_t>(txn.requester), 0);
     if (txn.kind == SnoopKind::Read) {
-        goToMemory(txn);
+        // Fault recovery: a supplier's data already completed this load,
+        // so this conclusion is stale -- e.g. a trailing reply that
+        // overtook its delayed request and passed the supplier before
+        // the request did. Fetching from memory would complete the load
+        // a second time; close the round instead.
+        if (txn.dataArrived)
+            finishAndErase(txn.id);
+        else
+            goToMemory(txn);
     } else {
         if (txn.writeNeedsData && !txn.writeDataSupplied)
             goToMemory(txn);

@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,92 +50,45 @@ sweepConfig(Algorithm algorithm, const WorkloadProfile &profile,
     return cfg;
 }
 
-RunResult
-runOne(Algorithm algorithm, const WorkloadProfile &profile,
-       const std::string &predictor_name)
+namespace
 {
-    SyntheticGenerator gen(profile);
-    return runSimulation(sweepConfig(algorithm, profile, predictor_name),
-                         gen.generate(), profile.name);
+
+/** Each profile's traces, generated once, on @p jobs workers. */
+std::vector<CoreTraces>
+generateTraces(const std::vector<WorkloadProfile> &profiles,
+               std::size_t jobs)
+{
+    return ParallelExecutor(jobs).map(
+        profiles.size(), [&profiles](std::size_t p) {
+            return SyntheticGenerator(profiles[p]).generate();
+        });
 }
 
-SweepResult
-runSweep(const std::vector<Algorithm> &algorithms,
-         const WorkloadProfile &profile,
-         const std::string &override_predictor)
-{
-    // Generate the traces once; every algorithm replays the same refs
-    // (the paper: "we compare the different snooping algorithms with
-    // exactly the same traces").
-    SyntheticGenerator gen(profile);
-    const CoreTraces traces = gen.generate();
+} // namespace
 
-    SweepResult sweep;
-    sweep.workload = profile.name;
-    for (Algorithm a : algorithms) {
-        sweep.runs.push_back(
-            runSimulation(sweepConfig(a, profile, override_predictor),
-                          traces, profile.name));
-    }
-    return sweep;
-}
-
-SweepResult
-runSweepParallel(const std::vector<Algorithm> &algorithms,
-                 const WorkloadProfile &profile, std::size_t jobs,
-                 const std::string &override_predictor)
-{
-    return std::move(
-        runMatrix(algorithms, {profile}, jobs, override_predictor)
-            .front());
-}
-
-std::vector<SweepResult>
-runMatrix(const std::vector<Algorithm> &algorithms,
+SweepPlan
+planSweep(const std::vector<Algorithm> &algorithms,
           const std::vector<WorkloadProfile> &profiles, std::size_t jobs,
           const std::string &override_predictor)
 {
-    ParallelExecutor pool(jobs);
-
-    // Traces are generated once per profile and shared by all of that
-    // profile's runs; generation itself is independent per profile, so
-    // it parallelizes too.
-    std::vector<CoreTraces> traces =
-        pool.map(profiles.size(), [&profiles](std::size_t p) {
-            SyntheticGenerator gen(profiles[p]);
-            return gen.generate();
-        });
-
-    // Flatten the (profile x algorithm) matrix into one job batch so a
-    // slow profile does not serialize behind a fast one.
-    const std::size_t width = algorithms.size();
-    std::vector<RunResult> runs = pool.map(
-        profiles.size() * width, [&](std::size_t cell) {
-            const std::size_t p = cell / width;
-            const Algorithm a = algorithms[cell % width];
-            return runSimulation(
-                sweepConfig(a, profiles[p], override_predictor),
-                traces[p], profiles[p].name);
-        });
-
-    std::vector<SweepResult> out(profiles.size());
+    SweepPlan plan;
+    plan.traces = generateTraces(profiles, jobs);
     for (std::size_t p = 0; p < profiles.size(); ++p) {
-        out[p].workload = profiles[p].name;
-        out[p].runs.reserve(width);
-        for (std::size_t i = 0; i < width; ++i)
-            out[p].runs.push_back(std::move(runs[p * width + i]));
+        for (Algorithm a : algorithms) {
+            plan.cells.push_back(PlannedCell{
+                sweepConfig(a, profiles[p], override_predictor), p,
+                profiles[p].name});
+        }
     }
-    return out;
+    return plan;
 }
 
-std::vector<HierSweepCell>
-runHierSweep(const std::vector<Algorithm> &algorithms,
-             const std::vector<std::size_t> &node_counts,
-             std::size_t jobs, Cycle global_hop_cycles,
-             const WorkloadProfile &base)
+SweepPlan
+planHierSweep(const std::vector<Algorithm> &algorithms,
+              const std::vector<std::size_t> &node_counts,
+              std::size_t jobs, Cycle global_hop_cycles,
+              const WorkloadProfile &base)
 {
-    ParallelExecutor pool(jobs);
-
     // One scaled profile per node count; the flat and hier machines of
     // a node count replay the same traces.
     std::vector<WorkloadProfile> profiles;
@@ -163,37 +117,46 @@ runHierSweep(const std::vector<Algorithm> &algorithms,
         profiles.push_back(p);
     }
 
-    std::vector<CoreTraces> traces =
-        pool.map(profiles.size(), [&profiles](std::size_t p) {
-            SyntheticGenerator gen(profiles[p]);
-            return gen.generate();
-        });
+    SweepPlan plan;
+    plan.traces = generateTraces(profiles, jobs);
+    for (std::size_t p = 0; p < profiles.size(); ++p) {
+        for (bool hier : {false, true}) { // flat row, then hier row
+            for (Algorithm a : algorithms) {
+                MachineConfig cfg = sweepConfig(a, profiles[p]);
+                if (hier) {
+                    cfg.topology.kind = TopologyKind::Hier;
+                    cfg.topology.localRings = node_counts[p] / 8;
+                    cfg.topology.globalHopCycles = global_hop_cycles;
+                }
+                plan.cells.push_back(
+                    PlannedCell{std::move(cfg), p, profiles[p].name});
+            }
+        }
+    }
+    return plan;
+}
+
+std::vector<SweepResult>
+runSweeps(const std::vector<Algorithm> &algorithms,
+          const std::vector<WorkloadProfile> &profiles, std::size_t jobs,
+          const std::string &override_predictor)
+{
+    std::vector<RunResult> runs = runCells(
+        planSweep(algorithms, profiles, jobs, override_predictor), jobs);
+    for (const RunResult &r : runs) {
+        if (r.failed) {
+            throw std::runtime_error(r.workload + " / " + r.algorithm +
+                                     ": " + r.error);
+        }
+    }
 
     const std::size_t width = algorithms.size();
-    const std::size_t per_count = 2 * width; // flat row then hier row
-    std::vector<RunResult> runs = pool.map(
-        node_counts.size() * per_count, [&](std::size_t cell) {
-            const std::size_t p = cell / per_count;
-            const bool hier = cell % per_count >= width;
-            const Algorithm a = algorithms[cell % width];
-            MachineConfig cfg = sweepConfig(a, profiles[p]);
-            if (hier) {
-                cfg.topology.kind = TopologyKind::Hier;
-                cfg.topology.localRings = node_counts[p] / 8;
-                cfg.topology.globalHopCycles = global_hop_cycles;
-            }
-            return runSimulation(cfg, traces[p], profiles[p].name);
-        });
-
-    std::vector<HierSweepCell> out;
-    out.reserve(runs.size());
-    for (std::size_t i = 0; i < runs.size(); ++i) {
-        HierSweepCell c;
-        c.numCmps = node_counts[i / per_count];
-        c.hier = i % per_count >= width;
-        c.localRings = c.hier ? c.numCmps / 8 : 1;
-        c.result = std::move(runs[i]);
-        out.push_back(std::move(c));
+    std::vector<SweepResult> out(profiles.size());
+    for (std::size_t p = 0; p < profiles.size(); ++p) {
+        out[p].workload = profiles[p].name;
+        out[p].runs.assign(
+            std::make_move_iterator(runs.begin() + p * width),
+            std::make_move_iterator(runs.begin() + (p + 1) * width));
     }
     return out;
 }
@@ -223,9 +186,11 @@ sanitizeFileComponent(std::string s)
 } // namespace
 
 std::vector<RunResult>
-runCellsHardened(const std::vector<PlannedCell> &cells, std::size_t jobs,
-                 const SweepHardening &hardening)
+runCells(const SweepPlan &plan, std::size_t jobs,
+         const SweepHardening &hardening)
 {
+    const std::vector<PlannedCell> &cells = plan.cells;
+
     // Resume: rows already checkpointed by a previous (partial) sweep
     // are reused verbatim. Only successful rows ever reach the file,
     // so failed cells are retried automatically.
@@ -299,9 +264,8 @@ runCellsHardened(const std::vector<PlannedCell> &cells, std::size_t jobs,
                     out[i] = it->second;
                     logFinish(SweepLog::Status::Resumed);
                 } else {
-                    assert(cell.traces && "planned cell without traces");
-                    out[i] =
-                        runSimulation(cfg, *cell.traces, cell.workload);
+                    out[i] = runSimulation(cfg, plan.traces.at(cell.traces),
+                                           cell.workload);
                     logFinish(SweepLog::Status::Ok);
                 }
             } catch (const SimulationStuckError &e) {

@@ -1,7 +1,7 @@
 /**
  * @file
- * Experiment helpers used by the benches: algorithm sweeps over workload
- * suites, Lazy-normalization, SPLASH-2 aggregation (the paper uses the
+ * Experiment helpers: the sweep runner (runCells) and its planners,
+ * Lazy-normalization, SPLASH-2 aggregation (the paper uses the
  * arithmetic mean for Fig. 6 and the geometric mean of per-application
  * Lazy-normalized values for Figs. 7-9), and table printing.
  */
@@ -31,70 +31,46 @@ struct SweepResult
     std::vector<RunResult> runs; ///< one per algorithm, sweep order
 
     const RunResult &byAlgorithm(Algorithm a) const;
+
+    /** Every field of every run, doubles compared exactly. */
+    bool operator==(const SweepResult &) const = default;
 };
 
 /**
  * Machine configuration one sweep cell runs with: the §6.1 paper
  * default for @p algorithm sized to @p profile, with
  * @p override_predictor (if non-empty and of the same predictor kind)
- * forced on — the sensitivity-study hook shared by every sweep entry
- * point.
+ * forced on — the sensitivity-study hook shared by every sweep
+ * planner.
  */
 MachineConfig sweepConfig(Algorithm algorithm,
                           const WorkloadProfile &profile,
                           const std::string &override_predictor = "");
 
 /**
- * Run @p algorithms (with their §6.1 default predictors) on the
- * workload described by @p profile.
- *
- * @param override_predictor if non-empty, forces this predictor config
- *        on every algorithm that uses one (sensitivity studies)
- */
-SweepResult runSweep(const std::vector<Algorithm> &algorithms,
-                     const WorkloadProfile &profile,
-                     const std::string &override_predictor = "");
-
-/**
- * runSweep() with the per-algorithm runs executed concurrently on
- * @p jobs worker threads. Each run owns its machine, so the result is
- * bit-identical to the serial sweep; only wall-clock time changes.
- */
-SweepResult runSweepParallel(const std::vector<Algorithm> &algorithms,
-                             const WorkloadProfile &profile,
-                             std::size_t jobs,
-                             const std::string &override_predictor = "");
-
-/**
- * Full suite sweep: every (profile x algorithm) cell, executed across
- * @p jobs worker threads. Traces are generated once per profile and
- * shared by all of that profile's algorithms (the paper compares
- * algorithms on identical traces). Results are returned in @p profiles
- * order, each sweep in @p algorithms order — identical to calling
- * runSweep() per profile in a loop.
- */
-std::vector<SweepResult>
-runMatrix(const std::vector<Algorithm> &algorithms,
-          const std::vector<WorkloadProfile> &profiles, std::size_t jobs,
-          const std::string &override_predictor = "");
-
-/** Run one (algorithm, predictor-name) pair on @p profile. */
-RunResult runOne(Algorithm algorithm, const WorkloadProfile &profile,
-                 const std::string &predictor_name = "");
-
-/**
- * One cell of a hardened sweep: a fully-resolved machine configuration
- * plus the (shared, caller-owned) traces it replays. @p traces must
- * outlive the runCellsHardened() call.
+ * One cell of a sweep: a fully-resolved machine configuration, the
+ * plan's trace set it replays, and the workload label of its result.
  */
 struct PlannedCell
 {
     MachineConfig cfg;
-    const CoreTraces *traces = nullptr;
+    std::size_t traces = 0; ///< index into SweepPlan::traces
     std::string workload;
 };
 
-/** Robustness options of runCellsHardened() (docs/FAULTS.md). */
+/**
+ * What runCells() runs: each workload's traces, generated or loaded
+ * once, and the cells that replay them. All cells of a workload refer
+ * to the same trace set, so its algorithms compare on identical
+ * traces (the paper: "exactly the same traces").
+ */
+struct SweepPlan
+{
+    std::vector<CoreTraces> traces;
+    std::vector<PlannedCell> cells;
+};
+
+/** Robustness options of runCells() (docs/FAULTS.md). */
 struct SweepHardening
 {
     /**
@@ -124,33 +100,41 @@ struct SweepHardening
 };
 
 /**
- * Run every cell across @p jobs workers with crash isolation: a cell
- * that throws (stuck simulation, retry storm, coherence violation) is
- * returned as a RunResult with failed=true and the message in `error`,
- * and the other cells run to completion. Results are in @p cells order.
+ * The sweep runner: run every cell of @p plan across @p jobs workers
+ * with crash isolation. A cell that throws (stuck simulation, retry
+ * storm, coherence violation) is returned as a RunResult with
+ * failed=true and the message in `error`, and the other cells run to
+ * completion. Results are in plan.cells order and do not depend on
+ * @p jobs or on @p hardening: a cell's guards and a resumed row change
+ * no result field.
  */
-std::vector<RunResult>
-runCellsHardened(const std::vector<PlannedCell> &cells, std::size_t jobs,
-                 const SweepHardening &hardening);
-
-/** One cell of the hierarchical-topology scaling sweep. */
-struct HierSweepCell
-{
-    std::size_t numCmps = 0;
-    bool hier = false;          ///< false = flat-ring baseline
-    std::size_t localRings = 1; ///< numCmps / 8 when hier
-    RunResult result;
-};
+std::vector<RunResult> runCells(const SweepPlan &plan, std::size_t jobs,
+                                const SweepHardening &hardening = {});
 
 /**
- * Scalability sweep (docs/TOPOLOGY.md): for each node count in
- * @p node_counts, run every algorithm on the same traces twice — once
- * on the flat embedded ring and once on a two-level hierarchy with
- * 8-node local rings (local_rings = N/8) — so hier-vs-flat is an
+ * Plan @p algorithms (with their §6.1 default predictors) on every
+ * profile: one cell per (profile x algorithm), profile-major, each
+ * configured by sweepConfig(). Each profile's traces are generated
+ * once, on @p jobs workers. With no algorithms the plan holds only the
+ * traces, for callers that add cells of their own.
+ *
+ * @param override_predictor if non-empty, forces this predictor config
+ *        on every algorithm that uses one (sensitivity studies)
+ */
+SweepPlan planSweep(const std::vector<Algorithm> &algorithms,
+                    const std::vector<WorkloadProfile> &profiles,
+                    std::size_t jobs,
+                    const std::string &override_predictor = "");
+
+/**
+ * Scalability sweep plan (docs/TOPOLOGY.md): for each node count in
+ * @p node_counts, every algorithm on the same traces twice — once on
+ * the flat embedded ring and once on a two-level hierarchy with 8-node
+ * local rings (local_rings = N/8) — so hier-vs-flat is an
  * apples-to-apples comparison per (node count, algorithm). Every node
  * count must be a multiple of 8, at least 16, so the hierarchy has at
- * least two local rings. Cells are returned in node_counts x
- * {flat, hier} x algorithms order.
+ * least two local rings. Cells are in node_counts x {flat, hier} x
+ * algorithms order.
  *
  * @param base workload template; its numCores is replaced by the
  *        swept node count (x coresPerCmp) per cell. The footprint is
@@ -159,11 +143,21 @@ struct HierSweepCell
  *        bounded (the base footprint hammered by 64+ cores collapses
  *        into retry storms on every algorithm, flat or hier).
  */
-std::vector<HierSweepCell>
-runHierSweep(const std::vector<Algorithm> &algorithms,
-             const std::vector<std::size_t> &node_counts,
-             std::size_t jobs, Cycle global_hop_cycles = 62,
-             const WorkloadProfile &base = miniProfile());
+SweepPlan planHierSweep(const std::vector<Algorithm> &algorithms,
+                        const std::vector<std::size_t> &node_counts,
+                        std::size_t jobs, Cycle global_hop_cycles = 62,
+                        const WorkloadProfile &base = miniProfile());
+
+/**
+ * planSweep() and runCells() for the figure benches: one SweepResult
+ * per profile, in @p profiles order, each in @p algorithms order.
+ *
+ * @throws std::runtime_error carrying the first failed cell's error
+ */
+std::vector<SweepResult>
+runSweeps(const std::vector<Algorithm> &algorithms,
+          const std::vector<WorkloadProfile> &profiles, std::size_t jobs,
+          const std::string &override_predictor = "");
 
 /** Arithmetic mean of @p metric over a set of runs. */
 double arithMean(const std::vector<double> &values);

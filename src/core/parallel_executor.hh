@@ -64,7 +64,7 @@ class ParallelExecutor
      * Like run(), but with per-job crash isolation: every job executes
      * regardless of other jobs' failures, and nothing is rethrown. The
      * returned vector holds one entry per job, null on success and the
-     * captured exception otherwise — the hardened-sweep building block
+     * captured exception otherwise — the sweep runner's building block
      * (one failing cell must not kill the batch).
      */
     std::vector<std::exception_ptr>

@@ -123,6 +123,9 @@ fields()
         field("true_negatives", &RunResult::trueNegatives),
         field("false_positives", &RunResult::falsePositives),
         field("false_negatives", &RunResult::falseNegatives),
+        field("write_ring_requests", &RunResult::writeRingRequests),
+        field("write_snoops", &RunResult::writeSnoops),
+        field("write_filtered", &RunResult::writeFiltered),
         field("bridge_skips", &RunResult::bridgeSkips),
         field("bridge_descends", &RunResult::bridgeDescends),
         field("global_link_messages", &RunResult::globalLinkMessages),
@@ -133,6 +136,8 @@ fields()
         field("retries", &RunResult::retries),
         field("writebacks", &RunResult::writebacks),
         field("avg_read_latency", &RunResult::avgReadLatency),
+        field("p50_read_latency", &RunResult::p50ReadLatency),
+        field("p95_read_latency", &RunResult::p95ReadLatency),
         field("fault_link_decisions", &RunResult::faultLinkDecisions),
         field("fault_drops", &RunResult::faultDrops),
         field("fault_dups", &RunResult::faultDups),

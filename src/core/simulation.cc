@@ -4,7 +4,6 @@
 #include <chrono>
 #include <functional>
 #include <iomanip>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 
@@ -121,27 +120,23 @@ runSimulation(const MachineConfig &config, const CoreTraces &traces,
     });
 
     // Liveness guards (docs/FAULTS.md): armed whenever faults are on or
-    // a guard is configured explicitly; never scheduled otherwise, so a
-    // plain run's event stream is untouched. The self-rescheduling
-    // check event can extend the drain tail by up to one interval.
-    const bool guardsOn = config.faults.armed() ||
-                          config.guards.progressCheckCycles > 0 ||
-                          config.guards.wallClockLimitSec > 0;
-    if (guardsOn) {
-        const Cycle step = config.guards.progressCheckCycles > 0
-                               ? config.guards.progressCheckCycles
-                               : Cycle{1'000'000};
+    // a guard is configured explicitly. They run between bounded chunks
+    // of the event queue and schedule no event, so a guarded run ends
+    // at the same cycle, with the same results, as a plain one.
+    Cycle step = EventQueue::kNoEvent;
+    std::function<void()> guard;
+    if (config.faults.armed() || config.guards.progressCheckCycles > 0 ||
+        config.guards.wallClockLimitSec > 0) {
+        step = config.guards.progressCheckCycles > 0
+                   ? config.guards.progressCheckCycles
+                   : Cycle{1'000'000};
         const double wall_limit = config.guards.wallClockLimitSec;
         const auto wall_start = std::chrono::steady_clock::now();
-        auto last = std::make_shared<std::uint64_t>(progressMetric(runner));
-        // Each queued check event owns the closure and the closure only
-        // refers to itself weakly, so the last event frees it.
-        auto tick = std::make_shared<std::function<void()>>();
-        *tick = [&machine, &runner, step, wall_limit, wall_start, last,
-                 self = std::weak_ptr(tick)]() {
+        guard = [&machine, &runner, step, wall_limit, wall_start,
+                 last = progressMetric(runner)]() mutable {
             if (runner.allDone() &&
                 machine.controller().outstanding() == 0)
-                return; // finished; stop rescheduling so the queue drains
+                return; // finished; only stale timers are left to drain
             if (wall_limit > 0) {
                 const double sec =
                     std::chrono::duration<double>(
@@ -157,21 +152,18 @@ runSimulation(const MachineConfig &config, const CoreTraces &traces,
                 }
             }
             const std::uint64_t now_progress = progressMetric(runner);
-            if (now_progress == *last) {
+            if (now_progress == last) {
                 std::ostringstream oss;
                 oss << "no forward progress for " << step
                     << " cycles (deadlock or livelock)";
                 throw SimulationStuckError(
                     oss.str(), describeStuckState(machine, runner));
             }
-            *last = now_progress;
-            machine.queue().schedule(step,
-                                     [tick = self.lock()]() { (*tick)(); });
+            last = now_progress;
         };
-        machine.queue().schedule(step, [tick]() { (*tick)(); });
     }
 
-    const Cycle measured = runner.run();
+    const Cycle measured = runner.run(step, guard);
 
     // The queue drained; nothing can ever move again. Any unfinished
     // core or live transaction is a hard deadlock (e.g. a dropped

@@ -85,9 +85,9 @@ struct RunResult
     std::uint64_t incompleteConclusionsRejected = 0;
     std::uint64_t retryStormAborts = 0;
 
-    // Hardened-sweep bookkeeping (Experiment::runCellsHardened): a cell
-    // whose run threw is recorded as failed instead of killing the
-    // sweep; `error` carries the exception message.
+    // Sweep bookkeeping (runCells, core/experiment.hh): a cell whose
+    // run threw is recorded as failed instead of killing the sweep;
+    // `error` carries the exception message.
     bool failed = false;
     std::string error;
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Structured sweep progress log (docs/TELEMETRY.md): one JSON object
- * per line, so a long hardened sweep can be watched with `tail -f`,
+ * per line, so a long sweep can be watched with `tail -f`,
  * parsed by dashboards, and post-mortemed after a crash — the last
  * line always names the cell that was running. Events:
  *

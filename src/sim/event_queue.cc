@@ -97,8 +97,6 @@ EventQueue::run(Cycle limit)
         step();
         ++fired;
     }
-    if (pending() == 0 && _now < limit)
-        _now = limit;
     return fired;
 }
 

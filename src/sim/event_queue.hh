@@ -179,7 +179,9 @@ class EventQueue
     }
 
     /**
-     * Run until the queue drains or @p limit cycles have elapsed.
+     * Run until the queue drains or the next event lies past @p limit.
+     * The clock stays at the last event executed, so running in
+     * bounded chunks ends at the same cycle as one unbounded run.
      *
      * @param limit absolute cycle bound; events scheduled past it stay
      *              queued. Defaults to "no bound".

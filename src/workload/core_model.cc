@@ -173,15 +173,20 @@ WorkloadRunner::allDone() const
 }
 
 Cycle
-WorkloadRunner::run()
+WorkloadRunner::run(Cycle check_every, const std::function<void()> &check)
 {
     for (auto &core : _cores)
         core->start();
-    _queue.run();
+    for (Cycle limit = check_every;; limit += check_every) {
+        _queue.run(limit);
+        if (_queue.pending() == 0)
+            break;
+        check();
+    }
     if (!allDone()) {
         // Deliberately not fatal here: runSimulation turns this into a
         // SimulationStuckError with a full post-mortem dump, which the
-        // hardened sweep runner can isolate to the failing cell.
+        // sweep runner (runCells) isolates to the failing cell.
         for (const auto &core : _cores) {
             if (!core->done()) {
                 FS_LOG(Error, _queue.now(), "runner",

@@ -117,9 +117,16 @@ class WorkloadRunner
 
     /**
      * Run the whole workload; returns when every core finished.
+     *
+     * The queue runs in chunks of @p check_every cycles (by default one
+     * unbounded drain), and @p check is called after every chunk that
+     * leaves events pending; it may throw to abort the run. Checks
+     * schedule no event, so they change no result.
+     *
      * @return cycles spent in the measured (post-warmup) phase.
      */
-    Cycle run();
+    Cycle run(Cycle check_every = EventQueue::kNoEvent,
+              const std::function<void()> &check = {});
 
     /** Cycle at which the measured phase started. */
     Cycle measureStart() const { return _measureStart; }

@@ -110,8 +110,12 @@ TEST_P(EventQueueImpl, RunHonorsCycleLimit)
     q.run(50);
     EXPECT_EQ(fired, 1);
     EXPECT_EQ(q.pending(), 1u);
-    q.run();
+    // The clock stays at the last event run, not at the limit, so
+    // bounded chunks end where one unbounded run would.
+    EXPECT_EQ(q.now(), 10u);
+    q.run(1000);
     EXPECT_EQ(fired, 2);
+    EXPECT_EQ(q.now(), 100u);
 }
 
 TEST_P(EventQueueImpl, StepExecutesExactlyOneEvent)

@@ -95,8 +95,17 @@ TEST(Sweeps, RunSweepSharesTracesAcrossAlgorithms)
     WorkloadProfile profile = miniProfile();
     profile.refsPerCore = 400;
     profile.warmupRefs = 100;
-    const SweepResult sweep =
-        runSweep({Algorithm::Lazy, Algorithm::Eager}, profile);
+    const SweepPlan plan =
+        planSweep({Algorithm::Lazy, Algorithm::Eager}, {profile}, 2);
+    ASSERT_EQ(plan.traces.size(), 1u);
+    ASSERT_EQ(plan.cells.size(), 2u);
+    for (const PlannedCell &cell : plan.cells)
+        EXPECT_EQ(cell.traces, 0u);
+
+    const auto sweeps =
+        runSweeps({Algorithm::Lazy, Algorithm::Eager}, {profile}, 2);
+    ASSERT_EQ(sweeps.size(), 1u);
+    const SweepResult &sweep = sweeps.front();
     ASSERT_EQ(sweep.runs.size(), 2u);
     // Same traces => identical L2-access counts, so the number of ring
     // read requests differs only through retries.
@@ -115,11 +124,11 @@ TEST(Sweeps, PredictorOverrideOnlyAppliesToMatchingKind)
     profile.warmupRefs = 80;
     // Override with a Subset predictor name while running SupersetCon:
     // kinds mismatch, so the default y2k must be kept.
-    const RunResult r =
-        runOne(Algorithm::SupersetCon, profile, "sub512");
-    EXPECT_EQ(r.predictor, "n2k");
-    const RunResult r2 = runOne(Algorithm::Subset, profile, "sub512");
-    EXPECT_EQ(r2.predictor, "Sub512");
+    const auto sweeps = runSweeps(
+        {Algorithm::SupersetCon, Algorithm::Subset}, {profile}, 2,
+        "sub512");
+    EXPECT_EQ(sweeps[0].runs[0].predictor, "n2k");
+    EXPECT_EQ(sweeps[0].runs[1].predictor, "Sub512");
 }
 
 TEST(Tables, PrintTableFormatsRowsAndColumns)

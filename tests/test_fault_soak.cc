@@ -3,9 +3,9 @@
  * Fault-injection soak tests (docs/FAULTS.md): every paper algorithm
  * runs to completion with a clean checker under injected link faults
  * and predictor soft errors, recovery counters line up with the
- * injected distribution, fault-free hardened runs are bit-identical to
- * plain runs, and the hardened sweep runner isolates crashing cells and
- * resumes from its checkpoint.
+ * injected distribution, fault-free guarded runs are bit-identical to
+ * plain runs, and the sweep runner isolates crashing cells and resumes
+ * from its checkpoint.
  */
 
 #include <gtest/gtest.h>
@@ -13,11 +13,14 @@
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/report.hh"
 #include "core/simulation.hh"
+#include "run_result_equality.hh"
 #include "snoop/snoop_policy.hh"
 #include "workload/synthetic_generator.hh"
 
@@ -197,45 +200,79 @@ TEST(FaultRecovery, WatchdogArmedFaultFreeRunStaysQuiet)
     EXPECT_EQ(r.faultLinkDecisions, 0u);
 }
 
-/** Cells for the hardened-runner tests: two good, optionally one bad. */
-std::vector<PlannedCell>
-hardenedCells(bool with_poisoned)
+TEST(FaultRecovery, StaleNegativeConclusionAfterDataCompletesOnce)
 {
-    std::vector<PlannedCell> cells;
-    for (Algorithm a : {Algorithm::Lazy, Algorithm::SupersetAgg}) {
-        PlannedCell cell;
-        cell.cfg = sweepConfig(a, soakProfile());
-        cell.traces = &soakTraces();
-        cell.workload = "mini";
-        cells.push_back(std::move(cell));
+    // At 5e-3 a trailing reply can overtake its delayed request, pass
+    // the supplier unsnooped and conclude negative after the supplier's
+    // data already completed the load; fetching from memory then
+    // completed it a second time (an abort, not an exception). Seed 1
+    // hits it on the flat ring and on two local rings.
+    const WorkloadProfile profile = miniProfile();
+    const CoreTraces traces = SyntheticGenerator(profile).generate();
+    for (std::size_t local_rings : {1u, 2u}) {
+        MachineConfig cfg = sweepConfig(Algorithm::Eager, profile);
+        cfg.faults = allClassFaults(5e-3, 1);
+        cfg.coherence.watchdogCycles = 20000;
+        if (local_rings > 1) {
+            cfg.topology.kind = TopologyKind::Hier;
+            cfg.topology.localRings = local_rings;
+        }
+        const RunResult r = runSimulation(cfg, traces, profile.name);
+        EXPECT_GT(r.faultDelays, 0u) << "local_rings=" << local_rings;
     }
+}
+
+TEST(FaultRecovery, GuardsChangeNoResult)
+{
+    // The progress and wall-clock checks run between bounded chunks of
+    // the event queue, so a guarded run ends at the same cycle, with
+    // every field equal, as a plain one.
+    MachineConfig plain = sweepConfig(Algorithm::SupersetAgg, soakProfile());
+    const RunResult base = runSimulation(plain, soakTraces(), "mini");
+
+    MachineConfig guarded = plain;
+    guarded.guards.progressCheckCycles = 10'000;
+    guarded.guards.wallClockLimitSec = 600;
+    EXPECT_TRUE(identicalRuns(
+        runSimulation(guarded, soakTraces(), "mini"), base));
+}
+
+/** Plan for the sweep-runner tests: two good cells, optionally one
+ *  bad, all on the soak traces. */
+SweepPlan
+hardenedPlan(bool with_poisoned)
+{
+    SweepPlan plan;
+    plan.traces.push_back(soakTraces());
+    for (Algorithm a : {Algorithm::Lazy, Algorithm::SupersetAgg})
+        plan.cells.push_back(
+            PlannedCell{sweepConfig(a, soakProfile()), 0, "mini"});
     if (with_poisoned) {
         // Half the messages vanish and nothing recovers them (no
         // watchdog): the machine deadlocks and the run must surface a
         // SimulationStuckError instead of wedging the whole sweep.
-        PlannedCell poisoned;
-        poisoned.cfg = sweepConfig(Algorithm::Eager, soakProfile());
+        PlannedCell poisoned{sweepConfig(Algorithm::Eager, soakProfile()),
+                             0, "mini"};
         poisoned.cfg.faults.dropRate = 0.5;
         poisoned.cfg.faults.seed = 3;
         poisoned.cfg.coherence.watchdogCycles = 0;
-        poisoned.traces = &soakTraces();
-        poisoned.workload = "mini";
-        cells.push_back(std::move(poisoned));
+        plan.cells.push_back(std::move(poisoned));
     }
-    return cells;
+    return plan;
 }
 
 TEST(HardenedSweep, SerialAndParallelAreBitIdentical)
 {
-    const auto cells = hardenedCells(false);
-    SweepHardening hardening;
-    const auto serial = runCellsHardened(cells, 1, hardening);
-    const auto parallel = runCellsHardened(cells, 4, hardening);
+    const SweepPlan plan = hardenedPlan(false);
+    const auto serial = runCells(plan, 1);
+    // A cell's wall-clock budget changes no result either.
+    SweepHardening budget;
+    budget.cellWallClockLimitSec = 600;
+    const auto parallel = runCells(plan, 4, budget);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         EXPECT_FALSE(serial[i].failed);
-        EXPECT_EQ(serial[i].execCycles, parallel[i].execCycles) << i;
-        EXPECT_EQ(serial[i].energyNj, parallel[i].energyNj) << i;
+        EXPECT_TRUE(identicalRuns(serial[i], parallel[i])) << i;
     }
 }
 
@@ -251,8 +288,8 @@ TEST(HardenedSweep, CrashIsolationCheckpointAndResume)
     hardening.checkpointPath = checkpoint;
     hardening.dumpDir = dumpdir;
 
-    const auto cells = hardenedCells(true);
-    const auto first = runCellsHardened(cells, 2, hardening);
+    const SweepPlan plan = hardenedPlan(true);
+    const auto first = runCells(plan, 2, hardening);
     ASSERT_EQ(first.size(), 3u);
     EXPECT_FALSE(first[0].failed);
     EXPECT_FALSE(first[1].failed);
@@ -270,11 +307,16 @@ TEST(HardenedSweep, CrashIsolationCheckpointAndResume)
 
     // Resume: the good cells are served from the checkpoint (identical
     // results), the failed cell is retried and fails again.
-    const auto second = runCellsHardened(cells, 2, hardening);
+    const auto second = runCells(plan, 2, hardening);
     ASSERT_EQ(second.size(), 3u);
     EXPECT_EQ(second[0].execCycles, first[0].execCycles);
     EXPECT_EQ(second[1].execCycles, first[1].execCycles);
     EXPECT_TRUE(second[2].failed);
+    // Resumed rows print exactly as the fresh ones did, every column.
+    std::ostringstream fresh, resumed;
+    writeCsv(fresh, {first[0], first[1]});
+    writeCsv(resumed, {second[0], second[1]});
+    EXPECT_EQ(resumed.str(), fresh.str());
 
     std::remove(checkpoint.c_str());
     std::filesystem::remove_all(dumpdir);

@@ -339,16 +339,14 @@ TEST(FaultSchedule, DormantInjectorActsAfterStartOnly)
     // Faults scheduled past the end of the run never act: the injector
     // is installed but dormant, makes no per-message decisions, and
     // the run matches a fault-free one exactly. Arming faults also arms
-    // the liveness guard, whose self-rescheduling check extends the
-    // drain tail; the baseline arms the same guard explicitly so both
-    // runs carry the identical event stream.
+    // the liveness guard, which schedules no event, so the baseline
+    // runs without one.
     WorkloadProfile profile = miniProfile();
     profile.refsPerCore = 500;
     profile.warmupRefs = 100;
     const CoreTraces traces = SyntheticGenerator(profile).generate();
 
     MachineConfig plain = sweepConfig(Algorithm::Lazy, profile);
-    plain.guards.progressCheckCycles = 1'000'000;
     const RunResult base = runSimulation(plain, traces, profile.name);
 
     MachineConfig gated = plain;

@@ -1,9 +1,9 @@
 /**
  * @file
- * Tests for the worker-pool executor and the parallel experiment entry
- * points: submission-ordered results, exception propagation, a
- * thread-stress test (meaningful under ThreadSanitizer), and the
- * headline guarantee — parallel sweeps are bit-identical to serial.
+ * Tests for the worker-pool executor and the sweep runner on it:
+ * submission-ordered results, exception propagation, a thread-stress
+ * test (meaningful under ThreadSanitizer), and the headline guarantee
+ * — parallel sweeps are bit-identical to serial.
  */
 
 #include <atomic>
@@ -114,7 +114,7 @@ TEST(ParallelExecutor, StressManyBatches)
     EXPECT_EQ(total.load(), 50u * 37u);
 }
 
-// --- Parallel experiment entry points --------------------------------
+// --- Sweeps on the worker pool ---------------------------------------
 
 WorkloadProfile
 testProfile()
@@ -125,23 +125,29 @@ testProfile()
     return p;
 }
 
-TEST(RunSweepParallel, BitIdenticalToSerialSweep)
+TEST(RunSweeps, BitIdenticalToSerialSweep)
 {
     const std::vector<Algorithm> algos = {
         Algorithm::Lazy, Algorithm::Eager, Algorithm::SupersetAgg,
         Algorithm::Subset};
     const WorkloadProfile profile = testProfile();
 
-    const SweepResult serial = runSweep(algos, profile);
-    const SweepResult parallel = runSweepParallel(algos, profile, 8);
+    const auto serial = runSweeps(algos, {profile}, 1);
+    const auto parallel = runSweeps(algos, {profile}, 8);
 
-    EXPECT_EQ(serial.workload, parallel.workload);
-    ASSERT_EQ(serial.runs.size(), parallel.runs.size());
-    for (std::size_t i = 0; i < serial.runs.size(); ++i)
-        EXPECT_TRUE(identicalRuns(serial.runs[i], parallel.runs[i]));
+    ASSERT_EQ(serial.size(), 1u);
+    ASSERT_EQ(parallel.size(), 1u);
+    EXPECT_EQ(serial[0].workload, parallel[0].workload);
+    ASSERT_EQ(serial[0].runs.size(), algos.size());
+    ASSERT_EQ(parallel[0].runs.size(), algos.size());
+    for (std::size_t i = 0; i < algos.size(); ++i) {
+        EXPECT_EQ(serial[0].runs[i].algorithm, toString(algos[i]));
+        EXPECT_TRUE(
+            identicalRuns(serial[0].runs[i], parallel[0].runs[i]));
+    }
 }
 
-TEST(RunMatrix, MatchesPerProfileSerialSweeps)
+TEST(RunSweeps, MatchesPerProfileSerialSweeps)
 {
     const std::vector<Algorithm> algos = {Algorithm::Lazy,
                                           Algorithm::Oracle};
@@ -150,29 +156,32 @@ TEST(RunMatrix, MatchesPerProfileSerialSweeps)
     b.name = "mini-b";
     b.seed = 99;
 
-    const std::vector<SweepResult> matrix = runMatrix(algos, {a, b}, 8);
+    const auto matrix = runSweeps(algos, {a, b}, 8);
     ASSERT_EQ(matrix.size(), 2u);
+    EXPECT_EQ(matrix[0].workload, a.name);
+    EXPECT_EQ(matrix[1].workload, b.name);
 
-    const SweepResult serial_a = runSweep(algos, a);
-    const SweepResult serial_b = runSweep(algos, b);
+    const auto serial_a = runSweeps(algos, {a}, 1);
+    const auto serial_b = runSweeps(algos, {b}, 1);
     ASSERT_EQ(matrix[0].runs.size(), algos.size());
     ASSERT_EQ(matrix[1].runs.size(), algos.size());
     for (std::size_t i = 0; i < algos.size(); ++i) {
-        EXPECT_TRUE(identicalRuns(serial_a.runs[i], matrix[0].runs[i]));
-        EXPECT_TRUE(identicalRuns(serial_b.runs[i], matrix[1].runs[i]));
+        EXPECT_TRUE(
+            identicalRuns(serial_a[0].runs[i], matrix[0].runs[i]));
+        EXPECT_TRUE(
+            identicalRuns(serial_b[0].runs[i], matrix[1].runs[i]));
     }
 }
 
-TEST(RunSweepParallel, OverridePredictorAppliesInParallel)
+TEST(RunSweeps, OverridePredictorAppliesInParallel)
 {
     const std::vector<Algorithm> algos = {Algorithm::SupersetAgg};
     const WorkloadProfile profile = testProfile();
-    const SweepResult serial = runSweep(algos, profile, "y512");
-    const SweepResult parallel =
-        runSweepParallel(algos, profile, 4, "y512");
-    ASSERT_EQ(parallel.runs.size(), 1u);
-    EXPECT_EQ(parallel.runs[0].predictor, serial.runs[0].predictor);
-    EXPECT_TRUE(identicalRuns(serial.runs[0], parallel.runs[0]));
+    const auto serial = runSweeps(algos, {profile}, 1, "y512");
+    const auto parallel = runSweeps(algos, {profile}, 4, "y512");
+    ASSERT_EQ(parallel[0].runs.size(), 1u);
+    EXPECT_EQ(parallel[0].runs[0].predictor, serial[0].runs[0].predictor);
+    EXPECT_TRUE(identicalRuns(serial[0].runs[0], parallel[0].runs[0]));
 }
 
 } // namespace

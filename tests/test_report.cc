@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <sstream>
 
 #include "core/report.hh"
@@ -105,44 +106,45 @@ TEST(Report, EmptyResultSetStillValid)
 
 TEST(Report, CsvRoundTripPreservesEveryField)
 {
-    RunResult r = sampleResult();
-    r.faultLinkDecisions = 4242;
-    r.faultDrops = 7;
-    r.faultDups = 3;
-    r.faultDelays = 2;
-    r.faultPredictorFlips = 5;
-    r.watchdogTimeouts = 4;
-    r.staleMessagesAbsorbed = 11;
-    r.predictorFlipDegrades = 6;
-    r.incompleteConclusionsRejected = 9;
-    r.retryStormAborts = 1;
+    // Every field distinct and non-default (doubles exact at the
+    // writer's 10 significant digits), so a column the writer omits or
+    // the reader misroutes fails the comparison.
+    RunResult r;
+    r.workload = "barnes";
+    r.algorithm = "SupersetAgg";
+    r.predictor = "y2k";
+    std::uint64_t count = 1;
+    for (std::uint64_t *f :
+         {&r.execCycles, &r.readRingRequests, &r.readSnoops,
+          &r.readLinkMessages, &r.truePositives, &r.trueNegatives,
+          &r.falsePositives, &r.falseNegatives, &r.writeRingRequests,
+          &r.writeSnoops, &r.writeFiltered, &r.bridgeSkips,
+          &r.bridgeDescends, &r.globalLinkMessages, &r.cacheSupplies,
+          &r.memoryFetches, &r.downgrades, &r.collisions, &r.retries,
+          &r.writebacks, &r.faultLinkDecisions, &r.faultDrops,
+          &r.faultDups, &r.faultDelays, &r.faultPredictorFlips,
+          &r.watchdogTimeouts, &r.staleMessagesAbsorbed,
+          &r.predictorFlipDegrades, &r.incompleteConclusionsRejected,
+          &r.retryStormAborts})
+        *f = 1000 + count++;
+    double value = 0.5;
+    for (double *f :
+         {&r.snoopsPerReadRequest, &r.readLinkMessagesPerRequest,
+          &r.energyNj, &r.ringEnergyNj, &r.snoopEnergyNj,
+          &r.predictorEnergyNj, &r.downgradeEnergyNj, &r.avgReadLatency,
+          &r.p50ReadLatency, &r.p95ReadLatency}) {
+        *f = value;
+        value += 1.25;
+    }
+    r.failed = true;
+    r.error = "stuck at cycle 42";
 
     std::ostringstream oss;
     writeCsv(oss, {r});
     std::istringstream iss(oss.str());
     const auto loaded = loadCsv(iss);
     ASSERT_EQ(loaded.size(), 1u);
-    const RunResult &l = loaded.front();
-    EXPECT_EQ(l.workload, r.workload);
-    EXPECT_EQ(l.algorithm, r.algorithm);
-    EXPECT_EQ(l.predictor, r.predictor);
-    EXPECT_EQ(l.execCycles, r.execCycles);
-    EXPECT_EQ(l.readSnoops, r.readSnoops);
-    EXPECT_DOUBLE_EQ(l.energyNj, r.energyNj);
-    EXPECT_DOUBLE_EQ(l.avgReadLatency, r.avgReadLatency);
-    EXPECT_EQ(l.faultLinkDecisions, r.faultLinkDecisions);
-    EXPECT_EQ(l.faultDrops, r.faultDrops);
-    EXPECT_EQ(l.faultDups, r.faultDups);
-    EXPECT_EQ(l.faultDelays, r.faultDelays);
-    EXPECT_EQ(l.faultPredictorFlips, r.faultPredictorFlips);
-    EXPECT_EQ(l.watchdogTimeouts, r.watchdogTimeouts);
-    EXPECT_EQ(l.staleMessagesAbsorbed, r.staleMessagesAbsorbed);
-    EXPECT_EQ(l.predictorFlipDegrades, r.predictorFlipDegrades);
-    EXPECT_EQ(l.incompleteConclusionsRejected,
-              r.incompleteConclusionsRejected);
-    EXPECT_EQ(l.retryStormAborts, r.retryStormAborts);
-    EXPECT_FALSE(l.failed);
-    EXPECT_TRUE(l.error.empty());
+    EXPECT_TRUE(identicalRuns(loaded.front(), r));
 }
 
 TEST(RunResultEquality, NamesTheFirstDifferingField)

@@ -8,7 +8,7 @@
  *    .fstrace to the same run without it, across every paper algorithm
  *    and every builtin workload family;
  *  - determinism: the same configuration produces a byte-identical
- *    .fsmetrics every time, serially and on a parallel hardened sweep;
+ *    .fsmetrics every time, serially and on a parallel sweep;
  *  - the structured sweep log records every cell with the right status
  *    in both the healthy and the crashing case;
  *  - a stuck-machine post-mortem carries the telemetry lead-up.
@@ -161,37 +161,33 @@ TEST(MetricsDeterminism, SameConfigSameBytes)
     std::remove(p2.c_str());
 }
 
-/** Cells for the sweep tests; metrics paths are per-cell. */
-std::vector<PlannedCell>
-sweepCells(const CoreTraces &traces, const WorkloadProfile &profile,
-           const std::string &tag, bool with_poisoned)
+/** Plan for the sweep tests; metrics paths are per-cell. */
+SweepPlan
+sweepPlan(const CoreTraces &traces, const WorkloadProfile &profile,
+          const std::string &tag, bool with_poisoned)
 {
-    std::vector<PlannedCell> cells;
+    SweepPlan plan;
+    plan.traces.push_back(traces);
     std::size_t i = 0;
     for (Algorithm a : {Algorithm::Lazy, Algorithm::Subset,
                         Algorithm::SupersetAgg, Algorithm::Exact}) {
-        PlannedCell cell;
-        cell.cfg = sweepConfig(a, profile);
+        PlannedCell cell{sweepConfig(a, profile), 0, profile.name};
         cell.cfg.metrics.path = "/tmp/flexsnoop_test_" + tag +
                                 std::to_string(i++) + ".fsmetrics";
         cell.cfg.metrics.intervalCycles = 2000;
-        cell.traces = &traces;
-        cell.workload = profile.name;
-        cells.push_back(std::move(cell));
+        plan.cells.push_back(std::move(cell));
     }
     if (with_poisoned) {
         // Half the messages vanish and nothing recovers them: the cell
         // deadlocks and must be logged as failed, not ok.
-        PlannedCell poisoned;
-        poisoned.cfg = sweepConfig(Algorithm::Eager, profile);
+        PlannedCell poisoned{sweepConfig(Algorithm::Eager, profile), 0,
+                             profile.name};
         poisoned.cfg.faults.dropRate = 0.5;
         poisoned.cfg.faults.seed = 3;
         poisoned.cfg.coherence.watchdogCycles = 0;
-        poisoned.traces = &traces;
-        poisoned.workload = profile.name;
-        cells.push_back(std::move(poisoned));
+        plan.cells.push_back(std::move(poisoned));
     }
-    return cells;
+    return plan;
 }
 
 TEST(MetricsDeterminism, ParallelSweepMatchesSerialByteForByte)
@@ -201,11 +197,13 @@ TEST(MetricsDeterminism, ParallelSweepMatchesSerialByteForByte)
     profile.warmupRefs = 100;
     const CoreTraces traces = SyntheticGenerator(profile).generate();
 
-    const auto serial_cells = sweepCells(traces, profile, "ser", false);
-    const auto parallel_cells = sweepCells(traces, profile, "par", false);
-    SweepHardening hardening;
-    const auto serial = runCellsHardened(serial_cells, 1, hardening);
-    const auto parallel = runCellsHardened(parallel_cells, 2, hardening);
+    const SweepPlan serial_plan = sweepPlan(traces, profile, "ser", false);
+    const SweepPlan parallel_plan =
+        sweepPlan(traces, profile, "par", false);
+    const auto serial = runCells(serial_plan, 1);
+    const auto parallel = runCells(parallel_plan, 2);
+    const auto &serial_cells = serial_plan.cells;
+    const auto &parallel_cells = parallel_plan.cells;
 
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -226,12 +224,13 @@ TEST(SweepLogTest, RecordsEveryCellWithStatus)
     profile.refsPerCore = 400;
     profile.warmupRefs = 100;
     const CoreTraces traces = SyntheticGenerator(profile).generate();
-    const auto cells = sweepCells(traces, profile, "log", true);
+    const SweepPlan plan = sweepPlan(traces, profile, "log", true);
+    const auto &cells = plan.cells;
 
     const std::string log_path = "/tmp/flexsnoop_test_sweep.jsonl";
     SweepHardening hardening;
     hardening.sweepLogPath = log_path;
-    const auto results = runCellsHardened(cells, 2, hardening);
+    const auto results = runCells(plan, 2, hardening);
     ASSERT_EQ(results.size(), cells.size());
     EXPECT_TRUE(results.back().failed);
 

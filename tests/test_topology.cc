@@ -4,7 +4,7 @@
  * wrap-around, boundary links), configuration validation diagnostics,
  * bridge gateway behaviour (skip on a negative aggregate, descend when
  * a member may hold the line), per-level energy accounting, the
- * runHierSweep experiment driver, and a fault soak with per-level
+ * planHierSweep experiment planner, and a fault soak with per-level
  * fault rates. docs/TOPOLOGY.md documents the model under test.
  */
 
@@ -312,30 +312,36 @@ TEST(HierSweep, FlatAndHierCellsShareTracesAndOrder)
     WorkloadProfile base = miniProfile();
     base.refsPerCore = 150;
     base.warmupRefs = 40;
-    const auto cells = runHierSweep({Algorithm::SupersetCon}, {16},
-                                    /*jobs=*/2, /*global_hop_cycles=*/62,
-                                    base);
+    const SweepPlan plan = planHierSweep({Algorithm::SupersetCon}, {16},
+                                         /*jobs=*/2,
+                                         /*global_hop_cycles=*/62, base);
+    ASSERT_EQ(plan.traces.size(), 1u);
+    ASSERT_EQ(plan.cells.size(), 2u);
+    const MachineConfig &flat_cfg = plan.cells[0].cfg;
+    const MachineConfig &hier_cfg = plan.cells[1].cfg;
+    EXPECT_EQ(flat_cfg.topology.kind, TopologyKind::Flat);
+    EXPECT_EQ(flat_cfg.numCmps, 16u);
+    EXPECT_EQ(hier_cfg.topology.kind, TopologyKind::Hier);
+    EXPECT_EQ(hier_cfg.numCmps, 16u);
+    EXPECT_EQ(hier_cfg.topology.localRings, 2u);
+    EXPECT_EQ(hier_cfg.topology.globalHopCycles, 62u);
+    // Same traces: both cells replay the plan's one trace set.
+    EXPECT_EQ(plan.cells[0].traces, 0u);
+    EXPECT_EQ(plan.cells[1].traces, 0u);
+
+    const auto cells = runCells(plan, /*jobs=*/2);
     ASSERT_EQ(cells.size(), 2u);
+    EXPECT_EQ(cells[0].bridgeSkips, 0u);
+    EXPECT_EQ(cells[0].globalLinkMessages, 0u);
+    EXPECT_GT(cells[1].globalLinkMessages, 0u);
+    EXPECT_GT(cells[1].bridgeSkips + cells[1].bridgeDescends, 0u);
+    // (Raw ring-request counts differ legitimately: timing shifts
+    // change collision/retry counts.)
+    EXPECT_EQ(cells[0].workload, cells[1].workload);
+    EXPECT_FALSE(cells[0].failed);
+    EXPECT_FALSE(cells[1].failed);
 
-    EXPECT_FALSE(cells[0].hier);
-    EXPECT_EQ(cells[0].numCmps, 16u);
-    EXPECT_EQ(cells[0].localRings, 1u);
-    EXPECT_EQ(cells[0].result.bridgeSkips, 0u);
-    EXPECT_EQ(cells[0].result.globalLinkMessages, 0u);
-
-    EXPECT_TRUE(cells[1].hier);
-    EXPECT_EQ(cells[1].localRings, 2u);
-    EXPECT_GT(cells[1].result.globalLinkMessages, 0u);
-    EXPECT_GT(cells[1].result.bridgeSkips + cells[1].result.bridgeDescends,
-              0u);
-    // Same traces: both cells simulated the same workload label and
-    // completed. (Raw ring-request counts differ legitimately: timing
-    // shifts change collision/retry counts.)
-    EXPECT_EQ(cells[0].result.workload, cells[1].result.workload);
-    EXPECT_FALSE(cells[0].result.failed);
-    EXPECT_FALSE(cells[1].result.failed);
-
-    EXPECT_THROW(runHierSweep({Algorithm::Lazy}, {12}, 1),
+    EXPECT_THROW(planHierSweep({Algorithm::Lazy}, {12}, 1),
                  std::invalid_argument);
 }
 
@@ -346,13 +352,14 @@ TEST(HierSweep, SixtyFourNodeHierCellCompletes)
     WorkloadProfile base = miniProfile();
     base.refsPerCore = 150;
     base.warmupRefs = 40;
-    const auto cells = runHierSweep({Algorithm::SupersetCon}, {64},
-                                    /*jobs=*/2, /*global_hop_cycles=*/62,
-                                    base);
-    ASSERT_EQ(cells.size(), 2u);
-    EXPECT_EQ(cells[1].localRings, 8u);
-    const RunResult &hier = cells[1].result;
-    EXPECT_FALSE(hier.failed);
+    const SweepPlan plan = planHierSweep({Algorithm::SupersetCon}, {64},
+                                         /*jobs=*/2,
+                                         /*global_hop_cycles=*/62, base);
+    ASSERT_EQ(plan.cells.size(), 2u);
+    EXPECT_EQ(plan.cells[1].cfg.topology.localRings, 8u);
+    const auto cells = runCells(plan, /*jobs=*/2);
+    const RunResult &hier = cells[1];
+    EXPECT_FALSE(hier.failed) << hier.error;
     EXPECT_GT(hier.bridgeSkips, 0u);
     EXPECT_GT(hier.globalLinkMessages, 0u);
 }

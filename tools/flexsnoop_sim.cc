@@ -19,7 +19,9 @@
  *     --local-rings N         local rings in the hierarchy (hier only)
  *     --global-hop-cycles N   latency of one global-ring hop
  *     --trace-out PATH        save the generated traces (binary)
- *     --trace-in PATH         replay traces from a file instead
+ *     --trace-in PATH         replay traces from a file instead (every
+ *                             workload replays it; its core count must
+ *                             match the planned machine)
  *     --trace SPEC            record a .fstrace event trace per cell
  *                             (docs/TRACING.md); SPEC is
  *                             FILE[,ring_kb=N][,mode=drop|spill]
@@ -52,11 +54,14 @@
  *     --max-retries N         squash/watchdog reissue cap per request
  *     --cell-timeout SEC      per-cell wall-clock budget
  *     --checkpoint PATH       incremental result CSV; re-running skips
- *                             cells already present (sweep resume)
+ *                             cells already present (sweep resume).
+ *                             Rows are keyed by workload, algorithm and
+ *                             predictor only: resume with the same
+ *                             command line.
  *     --dump-dir PATH         write stuck-transaction dumps here
- *   Any of these switches routes the sweep through the hardened runner:
- *   a failing cell is reported (and the exit status is 1) instead of
- *   aborting the remaining cells.
+ *   Every sweep runs crash-isolated: a failing cell is reported as a
+ *   FAILED row (and the exit status is 1) instead of aborting the
+ *   remaining cells.
  *
  * Examples:
  *   flexsnoop_sim --workloads barnes,specjbb --algorithms lazy,supagg
@@ -66,21 +71,18 @@
  *       --dump-dir dumps
  */
 
-#include <chrono>
 #include <iomanip>
 #include <iostream>
-#include <memory>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/cli_parse.hh"
 #include "core/config_parser.hh"
 #include "core/experiment.hh"
 #include "core/parallel_executor.hh"
 #include "core/report.hh"
-#include "core/sweep_log.hh"
 #include "core/version.hh"
 #include "workload/profile.hh"
-#include "workload/synthetic_generator.hh"
 #include "workload/trace_io.hh"
 
 #ifndef FLEXSNOOP_BUILD_TYPE
@@ -250,7 +252,7 @@ main(int argc, char **argv)
     std::vector<Algorithm> algorithms = paperAlgorithms();
     std::vector<std::string> workloads = {"mini"};
     std::string predictor, trace_out, trace_in, csv_path, json_path;
-    std::string faults_spec, trace_spec, metrics_spec, sweep_log_path;
+    std::string faults_spec, trace_spec, metrics_spec;
     SweepHardening hardening;
     std::size_t refs = 0, warmup = SIZE_MAX;
     std::uint64_t watchdog_cycles = UINT64_MAX; // unset
@@ -310,7 +312,7 @@ main(int argc, char **argv)
                 metrics_spec = next();
                 MetricsConfig::fromSpec(metrics_spec); // validate early
             } else if (arg == "--sweep-log") {
-                sweep_log_path = next();
+                hardening.sweepLogPath = next();
             } else if (arg == "--csv") {
                 csv_path = next();
             } else if (arg == "--json") {
@@ -351,25 +353,11 @@ main(int argc, char **argv)
     }
 
     // Plan first, run second: configs are prepared serially (overrides
-    // mutate them), then every (workload, algorithm) combination runs
-    // as an independent job on the worker pool. Results keep plan
-    // order, so the output is identical to the serial loop.
-    struct PlannedRun
-    {
-        MachineConfig cfg;
-        std::size_t traces;
-        std::string workload;
-    };
-    std::vector<CoreTraces> all_traces;
-    std::vector<PlannedRun> plan;
+    // mutate them), then every (workload, algorithm) cell runs as an
+    // independent job on the worker pool. Results keep plan order, so
+    // the output is identical to the serial loop. A cell that fails is
+    // reported (and the exit status is 1) without aborting the others.
     std::vector<RunResult> results;
-
-    // Any robustness switch routes the sweep through the hardened
-    // runner (crash isolation, per-cell timeout, checkpoint/resume).
-    const bool hardened_run = !faults_spec.empty() ||
-                              hardening.cellWallClockLimitSec > 0 ||
-                              !hardening.checkpointPath.empty() ||
-                              !hardening.dumpDir.empty();
     try {
         FaultConfig fault_config;
         if (!faults_spec.empty())
@@ -380,27 +368,32 @@ main(int argc, char **argv)
         MetricsConfig metrics_config;
         if (!metrics_spec.empty())
             metrics_config = MetricsConfig::fromSpec(metrics_spec);
-        hardening.sweepLogPath = sweep_log_path;
         const std::size_t total_cells =
             workloads.size() * algorithms.size();
 
+        std::vector<WorkloadProfile> profiles;
         for (const auto &workload : workloads) {
             WorkloadProfile profile = profileByName(workload);
             if (refs > 0)
                 profile.refsPerCore = refs;
             if (warmup != SIZE_MAX)
                 profile.warmupRefs = warmup;
+            profiles.push_back(std::move(profile));
+        }
 
-            CoreTraces traces;
-            if (!trace_in.empty()) {
-                traces = loadTraces(trace_in);
-            } else {
-                traces = SyntheticGenerator(profile).generate();
-            }
-            if (!trace_out.empty())
-                saveTraces(trace_out, traces);
-            all_traces.push_back(std::move(traces));
+        // One trace set per workload: generated on the worker pool, or
+        // the --trace-in file, replayed by every workload.
+        SweepPlan plan;
+        if (trace_in.empty())
+            plan = planSweep({}, profiles, jobs);
+        else
+            plan.traces.assign(profiles.size(), loadTraces(trace_in));
+        if (!trace_out.empty() && !plan.traces.empty())
+            saveTraces(trace_out, plan.traces.back());
 
+        for (std::size_t w = 0; w < profiles.size(); ++w) {
+            const WorkloadProfile &profile = profiles[w];
+            const std::string &workload = workloads[w];
             for (Algorithm algorithm : algorithms) {
                 MachineConfig cfg = MachineConfig::paperDefault(
                     algorithm, profile.coresPerCmp);
@@ -434,17 +427,26 @@ main(int argc, char **argv)
                             cellFilePath(metrics_config.path, workload,
                                          toString(algorithm));
                 }
+                // A machine cannot replay traces of another core count;
+                // reject them here rather than abort mid-sweep.
+                const std::size_t trace_cores = plan.traces[w].numCores();
+                if (trace_cores != cfg.numCores()) {
+                    throw std::runtime_error(
+                        (trace_in.empty() ? "workload " + workload
+                                          : trace_in) +
+                        ": traces have " + std::to_string(trace_cores) +
+                        " cores, but the planned " + workload +
+                        " machine has " + std::to_string(cfg.numCores()));
+                }
                 std::cerr << "planned " << workload << " / "
                           << toString(algorithm) << '\n';
-                plan.push_back(PlannedRun{std::move(cfg),
-                                          all_traces.size() - 1,
-                                          profile.name});
+                plan.cells.push_back(
+                    PlannedCell{std::move(cfg), w, profile.name});
             }
         }
 
-        std::cerr << "running " << plan.size() << " simulation(s) on "
-                  << jobs << " worker(s)"
-                  << (hardened_run ? " (hardened)" : "") << "...\n";
+        std::cerr << "running " << plan.cells.size()
+                  << " simulation(s) on " << jobs << " worker(s)...\n";
         if (!faults_spec.empty())
             std::cerr << "fault injection: " << fault_config.describe()
                       << '\n';
@@ -455,51 +457,7 @@ main(int argc, char **argv)
             std::cerr << "telemetry: one .fsmetrics per cell, interval "
                       << metrics_config.intervalCycles
                       << " (analyze with flexsnoop_metrics)\n";
-        if (hardened_run) {
-            // all_traces is complete here, so the pointers are stable.
-            std::vector<PlannedCell> cells;
-            cells.reserve(plan.size());
-            for (const PlannedRun &run : plan) {
-                cells.push_back(PlannedCell{run.cfg,
-                                            &all_traces[run.traces],
-                                            run.workload});
-            }
-            results = runCellsHardened(cells, jobs, hardening);
-        } else {
-            // The hardened runner owns the sweep log on its path; here
-            // the plain parallel pool wraps each run with the same
-            // start/finish events (a thrown cell aborts the sweep, so
-            // per-cell failure statuses are the hardened runner's job).
-            std::unique_ptr<SweepLog> sweep_log;
-            if (!sweep_log_path.empty()) {
-                sweep_log =
-                    std::make_unique<SweepLog>(sweep_log_path, plan.size());
-            }
-            ParallelExecutor pool(jobs);
-            results = pool.map(plan.size(), [&](std::size_t i) {
-                const PlannedRun &run = plan[i];
-                const std::string algorithm(
-                    toString(run.cfg.algorithm));
-                if (sweep_log) {
-                    sweep_log->cellStart(i, run.workload, algorithm,
-                                         run.cfg.predictor.id);
-                }
-                const auto t0 = std::chrono::steady_clock::now();
-                RunResult r = runSimulation(
-                    run.cfg, all_traces[run.traces], run.workload);
-                if (sweep_log) {
-                    sweep_log->cellFinish(
-                        i, run.workload, algorithm, run.cfg.predictor.id,
-                        SweepLog::Status::Ok,
-                        std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count());
-                }
-                return r;
-            });
-            if (sweep_log)
-                sweep_log->finish();
-        }
+        results = runCells(plan, jobs, hardening);
     } catch (const std::exception &e) {
         std::cerr << "error: " << e.what() << '\n';
         return 1;
