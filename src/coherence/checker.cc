@@ -1,7 +1,9 @@
 #include "coherence/checker.hh"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "mem/line_state.hh"
 
@@ -44,7 +46,13 @@ CoherenceChecker::check() const
     auto report = [&](Addr line, const std::string &what) {
         violations.push_back(Violation{line, what});
     };
+    auto core_name = [](std::uint8_t core) {
+        return core == CmpLine::kNoCore ? std::string("none")
+                                        : std::to_string(core);
+    };
     std::size_t supplier_lines = 0; ///< lines some CMP supplies
+    /** Per node: lines with at least one scanned copy. */
+    std::vector<std::size_t> scanned_lines(_nodes.size(), 0);
 
     for (std::size_t begin = 0; begin < copies.size();) {
         std::size_t end = begin + 1;
@@ -103,39 +111,51 @@ CoherenceChecker::check() const
             }
         }
 
-        // Audit the CmpNodes' incrementally tracked per-line state (the
-        // copy counts and supplier sets the controller's hot path reads,
-        // and the machine-wide census of supplier CMPs memory fills
-        // read) against this ground-truth scan: a desync would silently
-        // skew every predictor decision or fill state downstream.
+        // Audit each CmpNode's line record (the copy mask, supplier and
+        // local master the controller's hot path reads instead of the
+        // L2s) and the machine-wide census of supplier CMPs memory fills
+        // read against this ground-truth scan: a desync would silently
+        // skew every predictor decision, filtered snoop or fill state
+        // downstream.
         unsigned supplier_cmps = 0;
         for (std::size_t i = begin; i < end;) {
             std::size_t cmp_end = i + 1;
             while (cmp_end < end && copies[cmp_end].node == copies[i].node)
                 ++cmp_end;
-            const CmpNode &cmp = *_nodes[copies[i].node];
-            const unsigned scanned =
-                static_cast<unsigned>(cmp_end - i);
-            if (cmp.copyCount(line) != scanned) {
+            const NodeId node = copies[i].node;
+            ++scanned_lines[node];
+            CmpLine scanned;
+            for (std::size_t j = i; j < cmp_end; ++j) {
+                const auto core = static_cast<std::uint8_t>(copies[j].core);
+                scanned.copies |= std::uint32_t{1} << core;
+                if (isSupplierState(copies[j].state))
+                    scanned.supplier = core;
+                if (copies[j].state == LineState::SharedLocal)
+                    scanned.localMaster = core;
+            }
+            supplier_cmps += scanned.supplier != CmpLine::kNoCore;
+            const CmpLine tracked = _nodes[node]->lineRecord(line);
+            if (tracked.copies != scanned.copies) {
                 std::ostringstream oss;
-                oss << "cmp" << copies[i].node << " tracks "
-                    << cmp.copyCount(line) << " copies, scan found "
-                    << scanned;
+                oss << "cmp" << node << " copy mask desync: tracked 0x"
+                    << std::hex << tracked.copies << ", scan found 0x"
+                    << scanned.copies;
                 report(line, oss.str());
             }
-            std::size_t supplier_core = SIZE_MAX;
-            for (std::size_t j = i; j < cmp_end; ++j) {
-                if (isSupplierState(copies[j].state))
-                    supplier_core = copies[j].core;
-            }
-            supplier_cmps += supplier_core != SIZE_MAX;
-            if (cmp.supplierCore(line) != supplier_core) {
+            if (tracked.supplier != scanned.supplier) {
                 std::ostringstream oss;
-                oss << "cmp" << copies[i].node
+                oss << "cmp" << node
                     << " supplier tracking desync: tracked core "
-                    << static_cast<long long>(cmp.supplierCore(line))
-                    << ", scan found "
-                    << static_cast<long long>(supplier_core);
+                    << core_name(tracked.supplier) << ", scan found "
+                    << core_name(scanned.supplier);
+                report(line, oss.str());
+            }
+            if (tracked.localMaster != scanned.localMaster) {
+                std::ostringstream oss;
+                oss << "cmp" << node
+                    << " local-master tracking desync: tracked core "
+                    << core_name(tracked.localMaster) << ", scan found "
+                    << core_name(scanned.localMaster);
                 report(line, oss.str());
             }
             i = cmp_end;
@@ -165,6 +185,27 @@ CoherenceChecker::check() const
                 std::ostringstream oss;
                 oss << "census counts " << count
                     << " supplier CMPs, scan found none";
+                report(line, oss.str());
+            }
+        });
+    }
+    // Likewise a record for a line no local L2 holds: it would make
+    // the node answer (and snoop) as if it held the line.
+    for (NodeId n = 0; n < _nodes.size(); ++n) {
+        const CmpNode &cmp = *_nodes[n];
+        if (cmp.trackedLines() == scanned_lines[n])
+            continue;
+        cmp.forEachRecord([&](Addr line, const CmpLine &rec) {
+            auto it = std::lower_bound(
+                copies.begin(), copies.end(), line,
+                [](const Copy &c, Addr l) { return c.line < l; });
+            bool held = false;
+            for (; it != copies.end() && it->line == line; ++it)
+                held = held || it->node == n;
+            if (!held) {
+                std::ostringstream oss;
+                oss << "cmp" << n << " tracks copy mask 0x" << std::hex
+                    << rec.copies << ", scan found none";
                 report(line, oss.str());
             }
         });

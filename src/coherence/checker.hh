@@ -10,6 +10,11 @@
  *  3. at most one cache per CMP holds a line in SL;
  *  4. E and D copies are globally unique (no other valid copy).
  *
+ * It also audits the state the hot path reads instead of the caches:
+ * each CmpNode's line records (copy mask, supplier core, SL holder, and
+ * no record for a line the CMP does not hold) and the machine-wide
+ * census of supplier CMPs.
+ *
  * Used by the tests (after randomized traffic) and optionally sampled
  * during long simulations.
  */

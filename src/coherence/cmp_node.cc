@@ -1,5 +1,6 @@
 #include "coherence/cmp_node.hh"
 
+#include <bit>
 #include <cassert>
 
 #include "sim/log.hh"
@@ -15,7 +16,8 @@ CmpNode::CmpNode(NodeId id, std::size_t num_cores, std::size_t l2_entries,
       _remoteSupplies(_stats.counter("remote_supplies")),
       _downgradesStat(_stats.counter("downgrades"))
 {
-    assert(num_cores >= 1);
+    assert(num_cores >= 1 && num_cores <= kMaxCores &&
+           "a CMP's cores must fit the copy mask of its line records");
     _l2s.reserve(num_cores);
     for (std::size_t c = 0; c < num_cores; ++c) {
         auto l2 = std::make_unique<L2Cache>(
@@ -36,8 +38,9 @@ CmpNode::setPredictor(std::unique_ptr<SupplierPredictor> predictor)
     if (!_predictor)
         return;
     // Predictors may be installed after lines exist (tests); sync them.
-    _suppliers.forEach([this](Addr line, std::size_t) {
-        _predictor->supplierGained(line);
+    _lines.forEach([this](Addr line, const CmpLine &rec) {
+        if (rec.supplier != CmpLine::kNoCore)
+            _predictor->supplierGained(line);
     });
 }
 
@@ -47,8 +50,8 @@ CmpNode::setPresencePredictor(std::unique_ptr<PresencePredictor> pred)
     _presence = std::move(pred);
     if (!_presence)
         return;
-    _copyCounts.forEach(
-        [this](Addr line, unsigned) { _presence->linePresent(line); });
+    _lines.forEach(
+        [this](Addr line, const CmpLine &) { _presence->linePresent(line); });
 }
 
 void
@@ -57,57 +60,110 @@ CmpNode::setAggregateMirrors(PresencePredictor *supplier_agg,
 {
     _supplierAgg = supplier_agg;
     _presenceAgg = presence_agg;
-    if (_supplierAgg) {
-        _suppliers.forEach([this](Addr line, std::size_t) {
+    _lines.forEach([this](Addr line, const CmpLine &rec) {
+        if (_supplierAgg && rec.supplier != CmpLine::kNoCore)
             _supplierAgg->linePresent(line);
-        });
-    }
-    if (_presenceAgg) {
-        _copyCounts.forEach([this](Addr line, unsigned) {
+        if (_presenceAgg)
             _presenceAgg->linePresent(line);
-        });
-    }
+    });
 }
 
 void
 CmpNode::setCensus(LineCensus *census)
 {
     _census = census;
-    if (_census) {
-        _suppliers.forEach(
-            [this](Addr line, std::size_t) { _census->supplierGained(line); });
-    }
+    if (!_census)
+        return;
+    _lines.forEach([this](Addr line, const CmpLine &rec) {
+        if (rec.supplier != CmpLine::kNoCore)
+            _census->supplierGained(line);
+    });
 }
 
 void
 CmpNode::onTransition(std::size_t core, Addr line, LineState from,
                       LineState to)
 {
-    // Presence tracking: first copy in / last copy out of the CMP.
-    if (!isValidState(from) && isValidState(to)) {
-        if (++_copyCounts.getOrCreate(line) == 1) {
-            if (_presence)
-                _presence->linePresent(line);
-            if (_presenceAgg)
-                _presenceAgg->linePresent(line);
+    const bool was_valid = isValidState(from);
+    const bool is_valid = isValidState(to);
+    const bool was_supplier = isSupplierState(from);
+    const bool is_supplier = isSupplierState(to);
+    // SG/E/D/T holders implicitly dominate SL for local-supply purposes,
+    // so the local master is the SL holder only.
+    const bool was_sl = from == LineState::SharedLocal;
+    const bool is_sl = to == LineState::SharedLocal;
+    if (was_valid == is_valid && was_supplier == is_supplier &&
+        was_sl == is_sl)
+        return; // e.g. E -> D: the record does not change
+
+    // Update the record before any hook fires, and hold no pointer into
+    // the map across one: Exact's downgrade callback re-enters this
+    // function for another line, which may insert and rehash.
+    const std::uint32_t bit = std::uint32_t{1} << core;
+    const auto core_id = static_cast<std::uint8_t>(core);
+    bool first_copy = false;
+    bool last_copy = false;
+    {
+        CmpLine &rec = _lines.getOrCreate(line);
+        if (!was_valid && is_valid) {
+            assert(!(rec.copies & bit));
+            first_copy = rec.copies == 0;
+            rec.copies |= bit;
+        } else if (was_valid && !is_valid) {
+            assert(rec.copies & bit);
+            rec.copies &= ~bit;
+            last_copy = rec.copies == 0;
         }
-    } else if (isValidState(from) && !isValidState(to)) {
-        unsigned *count = _copyCounts.find(line);
-        assert(count != nullptr && *count > 0);
-        if (--*count == 0) {
-            _copyCounts.erase(line);
-            if (_presence)
-                _presence->lineAbsent(line);
-            if (_presenceAgg)
-                _presenceAgg->lineAbsent(line);
+
+        if (was_supplier && !is_supplier) {
+            assert(rec.supplier == core_id);
+            rec.supplier = CmpLine::kNoCore;
+        } else if (!was_supplier && is_supplier) {
+            if (rec.supplier != CmpLine::kNoCore) {
+                FS_LOG(Error, 0, "cmp",
+                       "cmp " << _id << " second supplier: line 0x"
+                              << std::hex << line << std::dec << " core "
+                              << core << " " << toString(from) << "->"
+                              << toString(to) << " existing core "
+                              << unsigned{rec.supplier} << " in "
+                              << toString(_l2s[rec.supplier]->state(line)));
+            }
+            assert(rec.supplier == CmpLine::kNoCore &&
+                   "second supplier copy within one CMP");
+            rec.supplier = core_id;
+        }
+
+        if (was_sl && !is_sl) {
+            assert(rec.localMaster == core_id);
+            rec.localMaster = CmpLine::kNoCore;
+        } else if (!was_sl && is_sl) {
+            assert(rec.localMaster == CmpLine::kNoCore &&
+                   "second local-master copy within one CMP");
+            rec.localMaster = core_id;
+        }
+
+        if (last_copy) {
+            assert(rec.supplier == CmpLine::kNoCore &&
+                   rec.localMaster == CmpLine::kNoCore);
+            _lines.erase(line);
         }
     }
 
-    const bool was_supplier = isSupplierState(from);
-    const bool is_supplier = isSupplierState(to);
+    // Presence tracking: first copy in / last copy out of the CMP.
+    if (first_copy) {
+        if (_presence)
+            _presence->linePresent(line);
+        if (_presenceAgg)
+            _presenceAgg->linePresent(line);
+    } else if (last_copy) {
+        if (_presence)
+            _presence->lineAbsent(line);
+        if (_presenceAgg)
+            _presenceAgg->lineAbsent(line);
+    }
+
     if (was_supplier && !is_supplier) {
-        assert(_suppliers.find(line) && *_suppliers.find(line) == core);
-        _suppliers.erase(line);
+        --_supplierLines;
         if (_predictor)
             _predictor->supplierLost(line);
         if (_supplierAgg)
@@ -115,35 +171,13 @@ CmpNode::onTransition(std::size_t core, Addr line, LineState from,
         if (_census)
             _census->supplierLost(line);
     } else if (!was_supplier && is_supplier) {
-        if (const std::size_t *other = _suppliers.find(line)) {
-            FS_LOG(Error, 0, "cmp",
-                   "cmp " << _id << " second supplier: line 0x" << std::hex
-                          << line << std::dec << " core " << core << " "
-                          << toString(from) << "->" << toString(to)
-                          << " existing core " << *other << " in "
-                          << toString(_l2s[*other]->state(line)));
-        }
-        assert(!_suppliers.contains(line) &&
-               "second supplier copy within one CMP");
-        _suppliers.put(line, core);
+        ++_supplierLines;
         if (_predictor)
             _predictor->supplierGained(line);
         if (_supplierAgg)
             _supplierAgg->linePresent(line);
         if (_census)
             _census->supplierGained(line);
-    }
-
-    // Track the local master (SL holder). SG/E/D/T holders implicitly
-    // dominate SL for local-supply purposes, so only SL itself is here.
-    const bool was_sl = from == LineState::SharedLocal;
-    const bool is_sl = to == LineState::SharedLocal;
-    if (was_sl && !is_sl)
-        _localMasters.erase(line);
-    else if (!was_sl && is_sl) {
-        assert(!_localMasters.contains(line) &&
-               "second local-master copy within one CMP");
-        _localMasters.put(line, core);
     }
 }
 
@@ -156,45 +190,53 @@ CmpNode::coreState(std::size_t local_core, Addr line) const
 bool
 CmpNode::hasSupplier(Addr line) const
 {
-    return _suppliers.contains(lineAddr(line));
+    return supplierCore(line) != SIZE_MAX;
 }
 
 std::size_t
 CmpNode::supplierCore(Addr line) const
 {
-    const std::size_t *core = _suppliers.find(lineAddr(line));
-    return core ? *core : SIZE_MAX;
+    const CmpLine *rec = _lines.find(lineAddr(line));
+    return rec && rec->supplier != CmpLine::kNoCore ? rec->supplier
+                                                     : SIZE_MAX;
 }
 
 bool
 CmpNode::hasLocalSupplier(Addr line) const
 {
-    line = lineAddr(line);
-    return _suppliers.contains(line) || _localMasters.contains(line);
+    return localSupplierCore(line) != SIZE_MAX;
 }
 
 std::size_t
 CmpNode::localSupplierCore(Addr line) const
 {
-    line = lineAddr(line);
-    if (const std::size_t *core = _suppliers.find(line))
-        return *core;
-    if (const std::size_t *core = _localMasters.find(line))
-        return *core;
+    const CmpLine *rec = _lines.find(lineAddr(line));
+    if (!rec)
+        return SIZE_MAX;
+    if (rec->supplier != CmpLine::kNoCore)
+        return rec->supplier;
+    if (rec->localMaster != CmpLine::kNoCore)
+        return rec->localMaster;
     return SIZE_MAX;
 }
 
 bool
 CmpNode::hasAnyCopy(Addr line) const
 {
-    return _copyCounts.contains(lineAddr(line));
+    return _lines.contains(lineAddr(line));
 }
 
 unsigned
 CmpNode::copyCount(Addr line) const
 {
-    const unsigned *count = _copyCounts.find(lineAddr(line));
-    return count ? *count : 0;
+    return static_cast<unsigned>(std::popcount(lineRecord(line).copies));
+}
+
+CmpLine
+CmpNode::lineRecord(Addr line) const
+{
+    const CmpLine *rec = _lines.find(lineAddr(line));
+    return rec ? *rec : CmpLine{};
 }
 
 void
@@ -259,9 +301,8 @@ CmpNode::fillFromMemory(std::size_t reader, Addr line)
     line = lineAddr(line);
     // The reader brought the line from memory: global master. If a
     // concurrent transaction installed a supplier first, demote to S.
-    const LineState st = hasSupplier(line) || _localMasters.contains(line)
-                             ? LineState::Shared
-                             : LineState::SharedGlobal;
+    const LineState st = hasLocalSupplier(line) ? LineState::Shared
+                                                : LineState::SharedGlobal;
     handleEviction(_l2s[reader]->fill(line, st));
 }
 
@@ -269,22 +310,27 @@ bool
 CmpNode::invalidateAll(Addr line, std::size_t skip_core, std::size_t l2_set)
 {
     line = lineAddr(line);
+    // Snoop filter: the record names the L2s holding a copy, so a CMP
+    // without one (nearly every ring write snoop) reads no tag array.
+    const CmpLine *rec = _lines.find(line);
+    if (!rec)
+        return false;
+    std::uint32_t victims = rec->copies; // rec dangles once hooks run
+    if (skip_core != SIZE_MAX)
+        victims &= ~(std::uint32_t{1} << skip_core);
+    if (victims == 0)
+        return false;
     // All local L2s share geometry: resolve the set once (or take the
-    // one the ring message's probe signature carries) instead of
-    // re-deriving it per core and per state/invalidate call.
+    // one the ring message's probe signature carries).
     const std::size_t set =
         l2_set != SIZE_MAX ? l2_set : _l2s[0]->setIndex(line);
     assert(set == _l2s[0]->setIndex(line));
     bool had_supplier = false;
-    for (std::size_t c = 0; c < _l2s.size(); ++c) {
-        if (c == skip_core)
-            continue;
-        const LineState st = _l2s[c]->state(line, set);
-        if (!isValidState(st))
-            continue;
-        if (isSupplierState(st))
-            had_supplier = true;
-        _l2s[c]->invalidate(line, set);
+    for (; victims != 0; victims &= victims - 1) {
+        const LineState st =
+            _l2s[std::countr_zero(victims)]->invalidate(line, set);
+        assert(isValidState(st));
+        had_supplier = had_supplier || isSupplierState(st);
     }
     return had_supplier;
 }

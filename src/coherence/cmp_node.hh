@@ -3,16 +3,23 @@
  * One CMP of the machine: several cores with private L2s, the intra-CMP
  * shared bus, and the ring gateway's Supplier Predictor.
  *
- * The CmpNode owns all protocol state transitions of its L2s and keeps
- * the CMP's supplier set (lines held in SG/E/D/T by one of its caches)
- * coherent with the Supplier Predictor through the L2 transition hooks.
+ * The CmpNode owns all protocol state transitions of its L2s. From the
+ * L2 transition hooks it keeps one record per line it holds (CmpLine:
+ * which L2s have a copy, which one supplies, which one is the local
+ * master) and keeps the Supplier Predictor, presence filter, bridge
+ * aggregates and census coherent with it. The record is a host-side
+ * snoop filter: every CMP probe asks it first and reads an L2 tag
+ * array only for a core whose copy bit is set. The modeled snoop is
+ * charged by the controller either way.
  */
 
 #ifndef FLEXSNOOP_COHERENCE_CMP_NODE_HH
 #define FLEXSNOOP_COHERENCE_CMP_NODE_HH
 
 #include <cassert>
+#include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -82,15 +89,36 @@ class LineCensus
     FlatMap<std::uint8_t> _downgradeMarks;
 };
 
+/**
+ * What a CMP knows about one line it holds: a mask of the local L2s with
+ * a valid copy, the L2 holding the supplier copy (SG/E/D/T) and the L2
+ * holding the local-master copy (SL). A CMP keeps a record exactly while
+ * one of its L2s holds the line, so a missing record answers every
+ * question about the line.
+ */
+struct CmpLine
+{
+    static constexpr std::uint8_t kNoCore = 0xff;
+
+    /** Bit c set: local L2 c holds a valid copy. */
+    std::uint32_t copies = 0;
+    std::uint8_t supplier = kNoCore;
+    std::uint8_t localMaster = kNoCore;
+};
+
 class CmpNode
 {
   public:
     /** Writeback sink: a dirty line leaves the CMP towards memory. */
     using WritebackFn = std::function<void(Addr line, bool from_downgrade)>;
 
+    /** Most cores (= private L2s) a CMP may have: one copy bit each. */
+    static constexpr std::size_t kMaxCores =
+        std::numeric_limits<decltype(CmpLine::copies)>::digits;
+
     /**
      * @param id        ring position of this CMP
-     * @param num_cores cores (= private L2s) in the CMP
+     * @param num_cores cores (= private L2s) in the CMP, at most kMaxCores
      * @param l2_entries / @p l2_ways geometry of each L2
      */
     CmpNode(NodeId id, std::size_t num_cores, std::size_t l2_entries,
@@ -156,12 +184,27 @@ class CmpNode
     /** Does any local L2 hold a valid copy of @p line? */
     bool hasAnyCopy(Addr line) const;
 
-    /** Number of local L2s holding a valid copy of @p line (checker
-     *  support: the coherence checker audits its scan against this). */
+    /** Number of local L2s holding a valid copy of @p line. */
     unsigned copyCount(Addr line) const;
 
+    /** The record of @p line; all-empty when no local L2 holds it
+     *  (checker support: the coherence checker audits its scan
+     *  against it). */
+    CmpLine lineRecord(Addr line) const;
+
+    /** Number of lines with a record (= held by some local L2). */
+    std::size_t trackedLines() const { return _lines.size(); }
+
+    /** Visit every (line, record) pair, in unspecified order. */
+    template <typename Fn>
+    void
+    forEachRecord(Fn &&fn) const
+    {
+        _lines.forEach(fn);
+    }
+
     /** Number of lines currently in the CMP's supplier set. */
-    std::size_t supplierSetSize() const { return _suppliers.size(); }
+    std::size_t supplierSetSize() const { return _supplierLines; }
 
     // --- Read-transaction transitions ----------------------------------
 
@@ -190,7 +233,9 @@ class CmpNode
 
     /**
      * A write invalidation (local or from the ring) hits this CMP.
-     * Invalidates every local copy of @p line.
+     * Invalidates every local copy of @p line: the line's record names
+     * the L2s to invalidate, in ascending core order, and no tag array
+     * is read when the CMP holds no copy.
      *
      * @param skip_core local L2 to preserve (the writer), SIZE_MAX = none
      * @param l2_set    the line's L2 set index when the caller carries it
@@ -255,15 +300,12 @@ class CmpNode
     LineCensus *_census = nullptr; ///< machine-wide (not owned)
     WritebackFn _writeback;
 
-    // Per-line CMP state, all on the per-hop snoop path: open-addressing
-    // FlatMaps (sim/flat_map.hh) — no per-insert node allocation, and a
-    // probe touches one contiguous table instead of chasing buckets.
-    /** line -> number of local L2s holding a valid copy. */
-    FlatMap<unsigned> _copyCounts;
-    /** line -> local L2 index holding the supplier copy. */
-    FlatMap<std::size_t> _suppliers;
-    /** line -> local L2 index holding the SL (local master) copy. */
-    FlatMap<std::size_t> _localMasters;
+    /** line -> its record, for every line some local L2 holds. One
+     *  open-addressing FlatMap (sim/flat_map.hh) on the per-hop snoop
+     *  path: every query is one probe of one contiguous table. */
+    FlatMap<CmpLine> _lines;
+    /** Records with a supplier core (supplierSetSize()). */
+    std::size_t _supplierLines = 0;
 
     StatGroup _stats;
     // Cached handles for per-transaction supply/eviction accounting.

@@ -930,11 +930,15 @@ CoherenceController::decideBridge(NodeId node, const SnoopMessage &msg,
         return BridgeAction::Descend;
 
     bool positive;
+    // True while `positive` is the members' actual supplier state, so a
+    // negative answer needs no second scan to confirm it.
+    bool authoritative = false;
     const PredictorKind kind = _globalPolicy->predictorKind();
     if (kind == PredictorKind::Perfect || kind == PredictorKind::Exact) {
         // Oracle knows, and Exact maintains exact per-node supplier
         // sets -- the block aggregate is authoritative either way.
         positive = blockHasSupplier(block, msg.line);
+        authoritative = true;
     } else {
         PresencePredictor *agg =
             _bridgeSupplier ? (*_bridgeSupplier)[block].get() : nullptr;
@@ -945,6 +949,7 @@ CoherenceController::decideBridge(NodeId node, const SnoopMessage &msg,
     }
     if (_faults && _faults->flipPrediction()) {
         positive = !positive;
+        authoritative = false;
         if (_trace)
             _trace->record(TraceEvent::PredictorFlip, _queue.now(),
                            msg.txn, msg.line, 0,
@@ -953,7 +958,7 @@ CoherenceController::decideBridge(NodeId node, const SnoopMessage &msg,
     pred_trace = positive ? 1 : 0;
     if (positive)
         return BridgeAction::Descend;
-    if (blockHasSupplier(block, msg.line)) {
+    if (!authoritative && blockHasSupplier(block, msg.line)) {
         // FP-only aggregates cannot miss a supplier; injected soft
         // errors degrade to the safe action (paper §4.3.4 at the
         // block level).

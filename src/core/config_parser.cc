@@ -3,6 +3,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "coherence/cmp_node.hh"
+
 namespace flexsnoop
 {
 
@@ -112,8 +114,14 @@ applyOverride(MachineConfig &config, const std::string &assignment)
         config.setNumCmps(static_cast<std::size_t>(
             parseUnsignedAtLeast(key, value, 2)));
     } else if (key == "cores_per_cmp") {
-        config.coresPerCmp = static_cast<std::size_t>(
-            parseUnsignedAtLeast(key, value, 1));
+        const std::uint64_t cores = parseUnsignedAtLeast(key, value, 1);
+        if (cores > CmpNode::kMaxCores) {
+            std::ostringstream oss;
+            oss << key << " must be at most " << CmpNode::kMaxCores
+                << " (one bit per L2 in a CMP's copy mask), got " << cores;
+            throw std::invalid_argument(oss.str());
+        }
+        config.coresPerCmp = static_cast<std::size_t>(cores);
     } else if (key == "l2_entries") {
         config.l2Entries = static_cast<std::size_t>(
             parseUnsignedAtLeast(key, value, 1));

@@ -13,7 +13,8 @@
  *
  * Values are validated strictly: malformed numbers are rejected with
  * the offending character position, structurally-invalid sizes (e.g.
- * num_cmps=1) name the violated bound, and unknown keys list the
+ * num_cmps=1, or cores_per_cmp above CmpNode::kMaxCores) name the
+ * violated bound, and unknown keys list the
  * accepted ones. applyOverrides() additionally reports which override
  * in the sequence failed.
  */

@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "coherence/cmp_node.hh"
 #include "core/config_parser.hh"
 
 namespace flexsnoop
@@ -29,6 +30,30 @@ TEST(ConfigParser, NumericOverrides)
     EXPECT_EQ(cfg.ring.linkLatency, 50u);
     EXPECT_EQ(cfg.memory.remoteRoundTrip, 900u);
     EXPECT_EQ(cfg.core.maxOutstanding, 8u);
+}
+
+TEST(ConfigParser, CoresPerCmpBoundedByCopyMask)
+{
+    // A CMP's line record keeps one copy bit per local L2.
+    MachineConfig cfg = MachineConfig::paperDefault(Algorithm::Lazy);
+    const std::string largest = std::to_string(CmpNode::kMaxCores);
+    applyOverride(cfg, "cores_per_cmp=" + largest);
+    EXPECT_EQ(cfg.coresPerCmp, CmpNode::kMaxCores);
+
+    const std::string past = std::to_string(CmpNode::kMaxCores + 1);
+    try {
+        applyOverride(cfg, "cores_per_cmp=" + past);
+        FAIL() << "cores_per_cmp=" << past << " was accepted";
+    } catch (const std::invalid_argument &e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("cores_per_cmp must be at most " + largest),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find(past), std::string::npos) << what;
+    }
+    EXPECT_EQ(cfg.coresPerCmp, CmpNode::kMaxCores); // left unchanged
+    EXPECT_THROW(applyOverride(cfg, "cores_per_cmp=0"),
+                 std::invalid_argument);
 }
 
 TEST(ConfigParser, NumCmpsAdjustsTorus)

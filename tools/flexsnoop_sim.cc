@@ -18,7 +18,10 @@
  *     --topology flat|hier    ring topology (docs/TOPOLOGY.md)
  *     --local-rings N         local rings in the hierarchy (hier only)
  *     --global-hop-cycles N   latency of one global-ring hop
- *     --trace-out PATH        save the generated traces (binary)
+ *     --trace-out PATH        save the generated traces (binary); with
+ *                             more than one workload, one file per
+ *                             workload, "_<workload>" inserted before
+ *                             PATH's extension
  *     --trace-in PATH         replay traces from a file instead (every
  *                             workload replays it; its core count must
  *                             match the planned machine)
@@ -71,10 +74,12 @@
  *       --dump-dir dumps
  */
 
+#include <initializer_list>
 #include <iomanip>
 #include <iostream>
 #include <sstream>
 #include <stdexcept>
+#include <string_view>
 
 #include "core/cli_parse.hh"
 #include "core/config_parser.hh"
@@ -227,15 +232,19 @@ printList()
 }
 
 /**
- * Per-cell artifact path (traces, metrics): insert
- * "_<workload>_<algorithm>" before the extension of @p base (or append
- * it when there is none), so each cell of a sweep writes its own file.
+ * Per-workload or per-cell artifact path: insert "_<part>" for each of
+ * @p parts before the extension of @p base (or append them when there
+ * is none), so each workload or cell of a sweep writes its own file.
  */
 std::string
-cellFilePath(const std::string &base, const std::string &workload,
-             std::string_view algorithm)
+splitFilePath(const std::string &base,
+              std::initializer_list<std::string_view> parts)
 {
-    std::string suffix = "_" + workload + "_" + std::string(algorithm);
+    std::string suffix;
+    for (std::string_view part : parts) {
+        suffix += '_';
+        suffix += part;
+    }
     const auto slash = base.find_last_of("/\\");
     const auto dot = base.find_last_of('.');
     if (dot == std::string::npos ||
@@ -388,8 +397,16 @@ main(int argc, char **argv)
             plan = planSweep({}, profiles, jobs);
         else
             plan.traces.assign(profiles.size(), loadTraces(trace_in));
-        if (!trace_out.empty() && !plan.traces.empty())
-            saveTraces(trace_out, plan.traces.back());
+        // --trace-out: one file per workload, named like per-cell
+        // files when the sweep has more than one workload.
+        if (!trace_out.empty()) {
+            for (std::size_t w = 0; w < profiles.size(); ++w) {
+                saveTraces(profiles.size() > 1
+                               ? splitFilePath(trace_out, {workloads[w]})
+                               : trace_out,
+                           plan.traces[w]);
+            }
+        }
 
         for (std::size_t w = 0; w < profiles.size(); ++w) {
             const WorkloadProfile &profile = profiles[w];
@@ -417,15 +434,15 @@ main(int argc, char **argv)
                     cfg.trace = trace_config;
                     if (total_cells > 1)
                         cfg.trace.path =
-                            cellFilePath(trace_config.path, workload,
-                                         toString(algorithm));
+                            splitFilePath(trace_config.path,
+                                          {workload, toString(algorithm)});
                 }
                 if (metrics_config.enabled()) {
                     cfg.metrics = metrics_config;
                     if (total_cells > 1)
                         cfg.metrics.path =
-                            cellFilePath(metrics_config.path, workload,
-                                         toString(algorithm));
+                            splitFilePath(metrics_config.path,
+                                          {workload, toString(algorithm)});
                 }
                 // A machine cannot replay traces of another core count;
                 // reject them here rather than abort mid-sweep.
