@@ -62,7 +62,7 @@ CoherenceController::CoherenceController(
       _energy(energy), _policy(policy), _nodes(nodes), _census(census),
       _params(params),
       _coresPerCmp(nodes.empty() ? 1 : nodes.front()->numCores()),
-      _lines(nodes.size()), _stats("controller"), _c(_stats)
+      _stats("controller"), _c(_stats)
 {
     assert(!_nodes.empty());
     for (NodeId n = 0; n < _nodes.size(); ++n) {
@@ -114,6 +114,14 @@ CoherenceController::linePoolUsage() const
             _linePool.slotsAllocated(), _linePool.chunkAllocs()};
 }
 
+CoherenceController::PoolUsage
+CoherenceController::lineRecordPoolUsage() const
+{
+    return {_lineRecordPool.acquires(), _lineRecordPool.releases(),
+            _lineRecordPool.live(), _lineRecordPool.slotsAllocated(),
+            _lineRecordPool.chunkAllocs()};
+}
+
 Transaction *
 CoherenceController::findTransaction(TransactionId id)
 {
@@ -121,25 +129,56 @@ CoherenceController::findTransaction(TransactionId id)
     return slot ? *slot : nullptr;
 }
 
-GatewayLine *
-CoherenceController::findLine(NodeId node, Addr line) const
+LineRecord *
+CoherenceController::findLineRecord(Addr line, LineRecord *hint) const
 {
-    GatewayLine *const *rec = _lines[node].find(line);
+    if (hint && hint->line == line)
+        return hint;
+    LineRecord *const *rec = _lineTable.find(line);
     return rec ? *rec : nullptr;
 }
 
-GatewayLine &
-CoherenceController::openLine(NodeId node, LineProbe &probe)
+GatewayLine *
+CoherenceController::findLine(NodeId node, Addr line) const
 {
-    if (probe.value)
-        return **probe.value;
+    const LineRecord *lr = findLineRecord(line, nullptr);
+    return lr ? lr->nodes[node] : nullptr;
+}
+
+LineRecord &
+CoherenceController::openLineRecord(Addr line)
+{
+    LineRecord *&slot = _lineTable.getOrCreate(line);
+    if (!slot) {
+        slot = _lineRecordPool.acquire();
+        // Records return to the pool empty (recycleIfIdle); fresh slots
+        // get their per-node index here, once.
+        assert(slot->line == kInvalidAddr && slot->entries == 0 &&
+               slot->liveRounds == 0);
+        if (slot->nodes.empty())
+            slot->nodes.assign(_nodes.size(), nullptr);
+        slot->line = line;
+    }
+    return *slot;
+}
+
+GatewayLine &
+CoherenceController::openLine(NodeId node, Addr line, LineRecord *&lr)
+{
+    if (!lr)
+        lr = &openLineRecord(line);
+    assert(lr->line == line);
+    if (GatewayLine *rec = lr->nodes[node])
+        return *rec;
     GatewayLine *rec = _linePool.acquire();
     // Records return to the pool idle (recycleIfIdle), fresh slots
     // default-construct idle; recycled vectors keep their capacity.
     assert(rec->idle() && rec->holder == kInvalidTransaction &&
            rec->deferred.empty());
-    rec->line = probe.key;
-    _lines[node].insert(probe) = rec;
+    rec->line = line;
+    rec->owner = lr;
+    lr->nodes[node] = rec;
+    ++lr->entries;
     return *rec;
 }
 
@@ -148,8 +187,18 @@ CoherenceController::recycleIfIdle(NodeId node, GatewayLine *rec)
 {
     if (!rec->idle())
         return;
-    _lines[node].erase(rec->line);
+    LineRecord *lr = rec->owner;
+    assert(lr->nodes[node] == rec);
+    lr->nodes[node] = nullptr;
     _linePool.release(rec);
+    if (--lr->entries != 0)
+        return;
+    // No node tracks the line: nor can a live round (it holds its own
+    // entry). Unnamed, the record turns every hint to it stale.
+    assert(lr->liveRounds == 0);
+    _lineTable.erase(lr->line);
+    lr->line = kInvalidAddr;
+    _lineRecordPool.release(lr);
 }
 
 NodePending &
@@ -246,6 +295,7 @@ CoherenceController::drainGate(NodeId node, GatewayLine *rec)
     // in which a newly-arriving message could slip past the queue and
     // steal the gate from the rightful next holder.
     const Addr line = rec->line;
+    LineRecord *lr = rec->owner;
     while (true) {
         if (rec->deferred.empty()) {
             if (rec->holder == kInvalidTransaction) {
@@ -276,9 +326,10 @@ CoherenceController::drainGate(NodeId node, GatewayLine *rec)
         // The reprocessed message may take the gate (SnoopThenForward),
         // in which case the next loop iteration only delivers its own
         // traffic; otherwise keep draining. It may also retire the
-        // line's last state and recycle the record: look it up again.
+        // line's last state and recycle the record: find it again.
         handleIntermediate(node, next, /*from_gate=*/true);
-        rec = findLine(node, line);
+        lr = findLineRecord(line, lr);
+        rec = lr ? lr->nodes[node] : nullptr;
         if (!rec)
             return;
     }
@@ -425,9 +476,10 @@ CoherenceController::startRingTransaction(CoreId core, Addr line,
 
     const TransactionId id = txn->id;
     _transactions.put(id, txn);
-    LineProbe probe = _lines[n].probe(line);
-    openLine(n, probe).own = id;
-    ++_liveLineRounds.getOrCreate(line);
+    LineRecord *lr = &openLineRecord(line);
+    openLine(n, line, lr).own = id;
+    ++lr->liveRounds;
+    txn->lineRecord = lr;
 
     if (_trace)
         _trace->record(TraceEvent::TxnStart, _queue.now(), id, line, core,
@@ -501,10 +553,16 @@ CoherenceController::watchdogExpire(TransactionId id)
 }
 
 void
-CoherenceController::sweepTransactionState(TransactionId id, Addr line)
+CoherenceController::sweepTransactionState(TransactionId id, Addr line,
+                                           LineRecord *hint)
 {
     for (NodeId n = 0; n < _nodes.size(); ++n) {
-        if (GatewayLine *rec = findLine(n, line))
+        // A retire may drain a gate and recycle records, the line's
+        // record included: check the hint again at every node.
+        hint = findLineRecord(line, hint);
+        if (!hint)
+            return;
+        if (GatewayLine *rec = hint->nodes[n])
             retire(n, rec, id);
     }
 }
@@ -525,6 +583,7 @@ CoherenceController::issueRingMessage(Transaction &txn)
     msg.requester = txn.requester;
     if (_probeSignatures)
         msg.sig = computeSignature(txn.requester, txn.line);
+    msg.lineHint = txn.lineRecord;
 
     FS_LOG(Debug, _queue.now(), "ctrl",
            "issue " << (txn.kind == SnoopKind::Read ? "read" : "write")
@@ -620,12 +679,14 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
         _memory.notifySnoopAtHome(msg.line, _queue.now());
     }
 
-    // One lookup serves every gateway decision below: the gate, the
-    // collision check against this node's own transaction and the
-    // pending snoop of msg's transaction all live in the line's record.
-    // On a miss the probe also remembers where a new record goes.
-    LineProbe probe = _lines[node].probe(msg.line);
-    GatewayLine *rec = probe.value ? *probe.value : nullptr;
+    // The line's record serves every gateway decision below: the gate,
+    // the collision check against this node's own transaction and the
+    // pending snoop of msg's transaction all live in this node's entry.
+    // The message's hint finds it without a lookup; refresh the hint
+    // so the events this hop schedules carry the current record.
+    LineRecord *lr = findLineRecord(msg.line, msg.lineHint);
+    msg.lineHint = lr;
+    GatewayLine *rec = lr ? lr->nodes[node] : nullptr;
 
     // Strict per-line FIFO at the gateway (any message type): nothing
     // may overtake a parked same-line message of another transaction.
@@ -638,7 +699,7 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
     // still terminates at the requester.
     if (_topo && _topo->isHead(node) &&
         !_topo->sameBlock(node, msg.requester) &&
-        bridgeHandle(node, msg, probe))
+        bridgeHandle(node, msg, lr))
         return;
 
     // Found or squashed messages travel the rest of the ring inert. A
@@ -756,7 +817,7 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
             // the count up in handleTrailingReply. Without the marker a
             // reply that outlived a dropped request is indistinguishable
             // from a complete round.
-            NodePending &p = pending(openLine(node, probe), msg.txn);
+            NodePending &p = pending(openLine(node, msg.line, lr), msg.txn);
             p.prim = Primitive::Forward;
             p.snoopDone = true;
             p.waitingForReply = true;
@@ -771,7 +832,7 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
         return;
     }
 
-    GatewayLine &held = openLine(node, probe);
+    GatewayLine &held = openLine(node, msg.line, lr);
     NodePending &p = pending(held, msg.txn);
     p.prim = prim;
     p.receivedCombined = msg.type == MsgType::CombinedRR;
@@ -808,7 +869,7 @@ CoherenceController::handleIntermediate(NodeId node, SnoopMessage msg,
 
 bool
 CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg,
-                                  LineProbe &probe)
+                                  LineRecord *&lr)
 {
     const std::size_t block = _topo->blockOf(node);
     auto &decisions = _bridgeDecisions[block];
@@ -820,7 +881,7 @@ CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg,
     if (const std::uint8_t *d = decisions.find(msg.txn)) {
         if (static_cast<BridgeAction>(*d) == BridgeAction::Descend)
             return false;
-        bridgeSkipForward(node, msg, probe, 0);
+        bridgeSkipForward(node, msg, lr, 0);
         return true;
     }
 
@@ -837,14 +898,14 @@ CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg,
         decisions.put(msg.txn, static_cast<std::uint8_t>(
                                    BridgeAction::Skip));
         _c.bridgeSkips.inc();
-        bridgeSkipForward(node, msg, probe, 0);
+        bridgeSkipForward(node, msg, lr, 0);
         return true;
     }
 
     Cycle decision_latency = 0;
     std::uint16_t pred_trace = 2;
     const BridgeAction action =
-        decideBridge(node, msg, decision_latency, pred_trace);
+        decideBridge(node, msg, lr, decision_latency, pred_trace);
     decisions.put(msg.txn, static_cast<std::uint8_t>(action));
     if (_trace)
         _trace->record(TraceEvent::HopDecision, _queue.now(), msg.txn,
@@ -860,12 +921,13 @@ CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg,
         return false;
     }
     _c.bridgeSkips.inc();
-    bridgeSkipForward(node, msg, probe, decision_latency);
+    bridgeSkipForward(node, msg, lr, decision_latency);
     return true;
 }
 
 CoherenceController::BridgeAction
 CoherenceController::decideBridge(NodeId node, const SnoopMessage &msg,
+                                  const LineRecord *lr,
                                   Cycle &decision_latency,
                                   std::uint16_t &pred_trace)
 {
@@ -874,7 +936,7 @@ CoherenceController::decideBridge(NodeId node, const SnoopMessage &msg,
     // A member with a conflicting outstanding transaction must see this
     // message: the flat collision rules (who squashes whom) only run
     // when the message reaches that member.
-    if (blockConflicts(block, msg))
+    if (blockConflicts(block, msg, lr))
         return BridgeAction::Descend;
 
     // A skip must not let this round overtake another live round on the
@@ -885,8 +947,7 @@ CoherenceController::decideBridge(NodeId node, const SnoopMessage &msg,
     // in flight anywhere, descend and run the flat path -- a skip here
     // could hop past that round's request on the global ring and, e.g.,
     // reach a supplier the write has not invalidated yet.
-    if (const std::uint32_t *live = _liveLineRounds.find(msg.line);
-        live && *live > 1)
+    if (lr && lr->liveRounds > 1)
         return BridgeAction::Descend;
 
     if (msg.kind == SnoopKind::Write) {
@@ -971,11 +1032,11 @@ CoherenceController::decideBridge(NodeId node, const SnoopMessage &msg,
 
 void
 CoherenceController::bridgeSkipForward(NodeId node, const SnoopMessage &msg,
-                                       LineProbe &probe,
+                                       LineRecord *&lr,
                                        Cycle decision_latency)
 {
     SnoopMessage out = msg;
-    GatewayLine *rec = probe.value ? *probe.value : nullptr;
+    GatewayLine *rec = lr ? lr->nodes[node] : nullptr;
     NodePending *p = rec ? rec->findPending(msg.txn) : nullptr;
     if (msg.found || msg.squashed) {
         // Inert skip: flat members leave visit counts untouched for
@@ -999,7 +1060,8 @@ CoherenceController::bridgeSkipForward(NodeId node, const SnoopMessage &msg,
         if (_faults && msg.type == MsgType::SnoopRequest) {
             // Same marker a flat Forward node leaves: the trailing
             // reply picks the authoritative visit count up here.
-            NodePending &marker = pending(openLine(node, probe), msg.txn);
+            NodePending &marker =
+                pending(openLine(node, msg.line, lr), msg.txn);
             marker.prim = Primitive::Forward;
             marker.snoopDone = true;
             marker.waitingForReply = true;
@@ -1034,12 +1096,15 @@ CoherenceController::sendSkipAccounted(NodeId node, const SnoopMessage &msg,
 
 bool
 CoherenceController::blockConflicts(std::size_t block,
-                                    const SnoopMessage &msg)
+                                    const SnoopMessage &msg,
+                                    const LineRecord *lr)
 {
+    if (!lr)
+        return false;
     const NodeId begin = _topo->headOf(block);
     const NodeId end = begin + static_cast<NodeId>(_topo->blockSize());
     for (NodeId n = begin; n < end; ++n) {
-        const GatewayLine *rec = findLine(n, msg.line);
+        const GatewayLine *rec = lr->nodes[n];
         if (!rec || rec->own == kInvalidTransaction)
             continue;
         Transaction *t = findTransaction(rec->own);
@@ -1160,7 +1225,8 @@ CoherenceController::ringSnoopWrite(NodeId node, const SnoopMessage &msg)
 void
 CoherenceController::snoopComplete(NodeId node, SnoopMessage msg)
 {
-    GatewayLine *rec = findLine(node, msg.line);
+    LineRecord *lr = findLineRecord(msg.line, msg.lineHint);
+    GatewayLine *rec = lr ? lr->nodes[node] : nullptr;
     NodePending *pp = rec ? rec->findPending(msg.txn) : nullptr;
     if (!pp) {
         // Only reachable when a watchdog closed this transaction and
@@ -1616,14 +1682,14 @@ CoherenceController::finishAndErase(TransactionId id)
     if (_trace)
         _trace->record(TraceEvent::TxnRetire, _queue.now(), id, line, 0,
                        static_cast<std::uint16_t>(txn->requester));
-    if (GatewayLine *rec = findLine(txn->requester, line);
-        rec && rec->own == id) {
-        rec->own = kInvalidTransaction;
-        recycleIfIdle(txn->requester, rec);
-    }
-    if (std::uint32_t *live = _liveLineRounds.find(line);
-        live && --*live == 0)
-        _liveLineRounds.erase(line);
+    // The own entry keeps the line's record in use until here.
+    LineRecord *lr = txn->lineRecord;
+    GatewayLine *own = lr->nodes[txn->requester];
+    assert(lr->line == line && lr->liveRounds > 0 && own &&
+           own->own == id);
+    --lr->liveRounds;
+    own->own = kInvalidTransaction;
+    recycleIfIdle(txn->requester, own);
     _transactions.erase(id);
     _txnPool.release(txn);
     // Bridge decisions are per-transaction state; the id is recycled
@@ -1635,7 +1701,7 @@ CoherenceController::finishAndErase(TransactionId id)
     // watchdog closed it early). Reclaim them so the line cannot wedge;
     // drained stale messages are absorbed on re-entry.
     if (hardened())
-        sweepTransactionState(id, line);
+        sweepTransactionState(id, line, lr);
 }
 
 void
@@ -1708,28 +1774,42 @@ CoherenceController::dumpOutstanding(std::ostream &os) const
            << " supplied " << txn->writeDataSupplied << " waiters "
            << txn->waiters.size() << '\n';
     });
-    for (NodeId n = 0; n < _lines.size(); ++n) {
-        _lines[n].forEach([&os, n](Addr, const GatewayLine *rec) {
-            for (const NodePending &p : rec->pending) {
-                os << "pending node " << n << " txn " << p.txn << " prim "
-                   << toString(p.prim) << " combined "
-                   << p.receivedCombined << " snoopPending "
-                   << p.snoopPending << " done " << p.snoopDone
-                   << " found " << p.snoopFound << " sentOwn "
-                   << p.sentOwn << " buffered "
-                   << (p.bufferedReply != nullptr) << " waiting "
-                   << p.waitingForReply << '\n';
-            }
-        });
+    // Gateway records in (node, line) order, so two dumps of the same
+    // stuck state diff cleanly whatever the line table's slot order.
+    struct NodeLine
+    {
+        NodeId node;
+        Addr line;
+        const GatewayLine *rec;
+    };
+    std::vector<NodeLine> recs;
+    _lineTable.forEach([&recs](Addr line, const LineRecord *lr) {
+        for (NodeId n = 0; n < lr->nodes.size(); ++n) {
+            if (lr->nodes[n])
+                recs.push_back({n, line, lr->nodes[n]});
+        }
+    });
+    std::sort(recs.begin(), recs.end(),
+              [](const NodeLine &a, const NodeLine &b) {
+                  return a.node != b.node ? a.node < b.node
+                                          : a.line < b.line;
+              });
+    for (const NodeLine &r : recs) {
+        for (const NodePending &p : r.rec->pending) {
+            os << "pending node " << r.node << " txn " << p.txn << " prim "
+               << toString(p.prim) << " combined " << p.receivedCombined
+               << " snoopPending " << p.snoopPending << " done "
+               << p.snoopDone << " found " << p.snoopFound << " sentOwn "
+               << p.sentOwn << " buffered " << (p.bufferedReply != nullptr)
+               << " waiting " << p.waitingForReply << '\n';
+        }
     }
-    for (NodeId n = 0; n < _lines.size(); ++n) {
-        _lines[n].forEach([&os, n](Addr line, const GatewayLine *rec) {
-            if (!rec->gateOpen)
-                return;
-            os << "gate node " << n << " line 0x" << std::hex << line
-               << std::dec << " active " << rec->holder << " deferred "
-               << rec->deferred.size() << '\n';
-        });
+    for (const NodeLine &r : recs) {
+        if (!r.rec->gateOpen)
+            continue;
+        os << "gate node " << r.node << " line 0x" << std::hex << r.line
+           << std::dec << " active " << r.rec->holder << " deferred "
+           << r.rec->deferred.size() << '\n';
     }
     for (std::size_t b = 0; b < _bridgeDecisions.size(); ++b) {
         _bridgeDecisions[b].forEach([&os, b](TransactionId id,

@@ -180,13 +180,41 @@ class CoherenceController : public RequestPort
     PoolUsage txnPoolUsage() const;
     /** The gateway line records (live = records in use machine-wide). */
     PoolUsage linePoolUsage() const;
+    /** The line table's records (live = lines with gateway state). */
+    PoolUsage lineRecordPoolUsage() const;
+
+    // Read-only views of the gateway state (tests and debugging) -------
 
     /** Node @p node's gateway record of @p line, or nullptr when the
-     *  node tracks nothing about it (tests and debugging). */
+     *  node tracks nothing about it. */
     const GatewayLine *
     gatewayLine(NodeId node, Addr line) const
     {
         return findLine(node, line);
+    }
+    /** @p line's record in the line table, or nullptr. */
+    const LineRecord *
+    lineRecord(Addr line) const
+    {
+        return findLineRecord(line, nullptr);
+    }
+    /** Lines in the line table. */
+    std::size_t lineTableSize() const { return _lineTable.size(); }
+    /** Visit every (line, record) of the line table; unordered. */
+    template <typename Fn>
+    void
+    forEachLineRecord(Fn &&fn) const
+    {
+        _lineTable.forEach(
+            [&fn](Addr line, const LineRecord *rec) { fn(line, *rec); });
+    }
+    /** Visit every live transaction; unordered. */
+    template <typename Fn>
+    void
+    forEachTransaction(Fn &&fn) const
+    {
+        _transactions.forEach(
+            [&fn](TransactionId, const Transaction *txn) { fn(*txn); });
     }
 
     // Aggregate metrics used by the benches ------------------------------
@@ -252,15 +280,27 @@ class CoherenceController : public RequestPort
     }
     void scheduleWatchdog(TransactionId id);
     void watchdogExpire(TransactionId id);
-    /** Reclaim pending snoop state and line gates held by @p id. */
-    void sweepTransactionState(TransactionId id, Addr line);
+    /** Reclaim pending snoop state and line gates held by @p id on
+     *  @p line, starting from the line's record @p hint. */
+    void sweepTransactionState(TransactionId id, Addr line,
+                               LineRecord *hint);
 
     // --- Gateway line records -------------------------------------------
-    using LineProbe = FlatMap<GatewayLine *>::Probe;
+    /**
+     * @p line's record: @p hint while it still names @p line, otherwise
+     * one line-table lookup (nullptr when no node tracks the line). A
+     * record names one line from acquire to release, and a line has at
+     * most one record, so a hint naming the line is its current record.
+     */
+    LineRecord *findLineRecord(Addr line, LineRecord *hint) const;
     GatewayLine *findLine(NodeId node, Addr line) const;
-    /** The record @p probe found, or a fresh one inserted at its slot. */
-    GatewayLine &openLine(NodeId node, LineProbe &probe);
-    /** Return @p rec to the pool if it tracks nothing any more. */
+    /** @p node's record in @p lr, opened if absent; a null @p lr is
+     *  first set to a new record of @p line (it had none). */
+    GatewayLine &openLine(NodeId node, Addr line, LineRecord *&lr);
+    /** @p line's record, inserted into the line table if absent. */
+    LineRecord &openLineRecord(Addr line);
+    /** Return @p rec to the pool if it tracks nothing any more, and
+     *  its line's record with it once no node holds an entry. */
     void recycleIfIdle(NodeId node, GatewayLine *rec);
 
     // --- Bridge gateway side (hier topology, docs/TOPOLOGY.md) ----------
@@ -279,19 +319,22 @@ class CoherenceController : public RequestPort
      * block, so every round still terminates at the requester.
      */
     bool bridgeHandle(NodeId node, const SnoopMessage &msg,
-                      LineProbe &probe);
+                      LineRecord *&lr);
     /** First-arrival decision for an active request at a bridge. */
     BridgeAction decideBridge(NodeId node, const SnoopMessage &msg,
+                              const LineRecord *lr,
                               Cycle &decision_latency,
                               std::uint16_t &pred_trace);
     /** Apply the recorded Skip to @p msg (visit/filter accounting). */
     void bridgeSkipForward(NodeId node, const SnoopMessage &msg,
-                           LineProbe &probe, Cycle decision_latency);
+                           LineRecord *&lr, Cycle decision_latency);
     /** Energy/link accounting + the global-ring hop itself. */
     void sendSkipAccounted(NodeId node, const SnoopMessage &msg,
                            Cycle decision_latency);
-    /** Any member of @p block has a conflicting outstanding txn? */
-    bool blockConflicts(std::size_t block, const SnoopMessage &msg);
+    /** Any member of @p block has a conflicting outstanding txn?
+     *  @p lr is the line's record (null: no member tracks the line). */
+    bool blockConflicts(std::size_t block, const SnoopMessage &msg,
+                        const LineRecord *lr);
     /** Any member of @p block holds @p line in a supplier state? */
     bool blockHasSupplier(std::size_t block, Addr line) const;
     /** Any member of @p block holds a valid copy of @p line? */
@@ -431,13 +474,18 @@ class CoherenceController : public RequestPort
      *  every hop). Buffered trailing replies park here too. */
     SlotPool<SnoopMessage> _msgPool;
     FlatMap<Transaction *> _transactions;
-    /** Records live in a slot pool and the maps hold pointers: a
-     *  recycled record keeps its deferred and pending capacity, so
-     *  per-hop churn (and FlatMap slot moves) never touches the heap
-     *  in steady state. */
+    /** Per-node gateway records (own txn, gate, pendings). They live
+     *  in a slot pool: a recycled record keeps its deferred and
+     *  pending capacity, so per-hop churn never touches the heap in
+     *  steady state. */
     SlotPool<GatewayLine> _linePool;
-    /** per node: line -> gateway record (own txn, gate, pendings). */
-    std::vector<FlatMap<GatewayLine *>> _lines;
+    /** Line records, pooled the same way: a recycled one keeps its
+     *  per-node index. */
+    SlotPool<LineRecord> _lineRecordPool;
+    /** line -> its record (live rounds, per-node gateway records),
+     *  machine-wide. Ring messages carry the record as a hint, so a
+     *  hop reaches its gateway state without a lookup (DESIGN.md §7). */
+    FlatMap<LineRecord *> _lineTable;
     /** Records whose gate is open, machine-wide. */
     std::size_t _gatedLines = 0;
 
@@ -458,14 +506,6 @@ class CoherenceController : public RequestPort
      *  a transaction follows the first decision, so a round's request,
      *  trailing reply and conclusion see a consistent geometry. */
     std::vector<FlatMap<std::uint8_t>> _bridgeDecisions;
-    /** line -> live ring rounds on it, machine-wide. A bridge may skip
-     *  an active request only while its round is the line's sole live
-     *  round: a skip that hopped past another round's request on the
-     *  global ring would break the flat ring's per-line message order,
-     *  which is what guarantees a write invalidates every copy that
-     *  existed when its request passed (later same-line rounds descend
-     *  and hit the flat collision/gate rules instead). */
-    FlatMap<std::uint32_t> _liveLineRounds;
 
     /** Hash-once probe signatures on ring messages; disabled only by
      *  FLEXSNOOP_NO_PROBE_SIG for fallback-equivalence testing. */

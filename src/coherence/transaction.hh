@@ -28,6 +28,10 @@ struct Transaction
     CoreId core = kInvalidCore; ///< machine-wide id of the issuing core
     Cycle issued = 0;
 
+    /** The line's gateway record. Valid while the transaction is
+     *  live: the requester's `own` entry keeps the record in use. */
+    LineRecord *lineRecord = nullptr;
+
     /** Same-CMP cores whose identical read merged onto this txn. */
     std::vector<CoreId> waiters;
 
@@ -70,6 +74,7 @@ struct Transaction
         requester = kInvalidNode;
         core = kInvalidCore;
         issued = 0;
+        lineRecord = nullptr;
         waiters.clear();
         dataArrived = false;
         ringDone = false;
@@ -117,12 +122,14 @@ struct NodePending
  * Everything one CMP gateway tracks about one line: the node's own
  * outstanding transaction on it, the ring-order gate (docs/PROTOCOL.md
  * §5), and the pending snoops of the transactions passing the node on
- * it. A transaction has exactly one line, so one lookup by line finds
- * all of a message's gateway state.
+ * it. A transaction has exactly one line, so the line's LineRecord
+ * indexes all of a message's gateway state by node.
  */
 struct GatewayLine
 {
     Addr line = kInvalidAddr;
+    /** The line's machine-wide record, which indexes this one. */
+    LineRecord *owner = nullptr;
     /** This node's own in-flight transaction on the line (request
      *  merging and collision detection), or kInvalidTransaction. */
     TransactionId own = kInvalidTransaction;
@@ -156,6 +163,29 @@ struct GatewayLine
     {
         return own == kInvalidTransaction && !gateOpen && pending.empty();
     }
+};
+
+/**
+ * The machine-wide gateway state of one line: its live ring rounds and
+ * an index of its GatewayLine records by node. The controller keeps
+ * one per line in its line table while any node holds a GatewayLine
+ * for the line. Every live transaction holds one at its requester (its
+ * `own` entry), so a line with live rounds always has a record.
+ */
+struct LineRecord
+{
+    /** The line, or kInvalidAddr while the record sits in its pool: a
+     *  stale hint to a released record then names no line. */
+    Addr line = kInvalidAddr;
+    /** Live transactions on the line, machine-wide. A bridge skips a
+     *  request only while its round is the line's sole live round
+     *  (DESIGN.md §11). */
+    std::uint32_t liveRounds = 0;
+    /** Non-null entries of `nodes`. */
+    std::uint32_t entries = 0;
+    /** Node -> that node's record of the line, or null. Sized to the
+     *  ring once; a recycled record keeps it, all null. */
+    std::vector<GatewayLine *> nodes;
 };
 
 } // namespace flexsnoop

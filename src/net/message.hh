@@ -23,6 +23,10 @@
 namespace flexsnoop
 {
 
+/** The coherence controller's machine-wide gateway record of a line
+ *  (src/coherence/transaction.hh); messages carry it only as a hint. */
+struct LineRecord;
+
 enum class MsgType : std::uint8_t
 {
     SnoopRequest, ///< forward-moving probe trigger
@@ -51,7 +55,9 @@ toString(MsgType t)
 /**
  * One message on a snoop ring.
  *
- * Value type: copied into the event queue on every hop.
+ * Value type: each hop copies it into a pooled slot that the hop's
+ * event points at, and gateways copy it when they defer, buffer or
+ * re-emit it.
  */
 struct SnoopMessage
 {
@@ -90,6 +96,15 @@ struct SnoopMessage
      * deriving the values from the address.
      */
     ProbeSignature sig;
+
+    /**
+     * Host-side hint, like the signature: the line's gateway record as
+     * of ring issue, so a gateway reaches its per-node state without
+     * hashing the line. It models nothing. Consumers trust it only
+     * while it still names this line (a released record names none)
+     * and otherwise look the line up; null on crafted messages.
+     */
+    LineRecord *lineHint = nullptr;
 };
 
 } // namespace flexsnoop

@@ -30,8 +30,10 @@ namespace flexsnoop
 class EventFn
 {
   public:
-    /** Inline storage: sized so a ring-hop lambda (this + NodeId +
-     *  SnoopMessage) and the retry lambdas stay allocation-free. */
+    /** Inline storage: sized so the retry lambda (this, core, line,
+     *  kind, retry count and the waiters vector) stays allocation-free.
+     *  Ring hops and gateway events capture a pooled SnoopMessage slot
+     *  pointer, not the message. */
     static constexpr std::size_t kInlineSize = 64;
 
     EventFn() noexcept = default;

@@ -3,7 +3,7 @@
  * Open-addressing hash map over 64-bit keys.
  *
  * Replaces std::unordered_map on the coherence controller's hot paths
- * (transactions by id, per-node gateway line records).
+ * (transactions by id, the gateway line table).
  * Linear probing over a power-of-two table with one control byte per
  * slot. Erase leaves a tombstone, so it never moves an entry.
  *
