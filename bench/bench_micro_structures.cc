@@ -322,14 +322,14 @@ reportRingEvents()
 
 /**
  * Probe-path layout A/B: the cost of one ring traversal's predictor
- * probes under the old layout (per-field 32-bit counter arrays, every
- * node re-deriving the field indices from the address) versus the new
- * one (indices computed once into a ProbeSignature, every node
- * answering from its packed one-bit-per-entry query bitmap). 16 nodes,
- * each with a supplier "y" filter and a presence filter: the legacy
- * counters total ~420 KB while the bitmaps total ~15 KB, so the new
- * path keeps the whole probe working set L1-resident. Answers must be
- * identical — the record's results_identical field gates that exactly.
+ * probes under the old layout (per-field 32-bit counter arrays) versus
+ * the new one (each node's packed one-bit-per-entry query bitmap).
+ * Both derive the field indices from the address at every hop, as the
+ * simulator's gateways do. 16 nodes, each with a supplier "y" filter
+ * and a presence filter: the legacy counters total ~420 KB while the
+ * bitmaps total ~15 KB, so the new path keeps the whole probe working
+ * set L1-resident. Answers must be identical — the record's
+ * results_identical field gates that exactly.
  */
 struct LegacyCountingBloom
 {
@@ -428,22 +428,11 @@ struct ProbePathFixture
      *  Between a transaction's consecutive hops the other in-flight
      *  probes touch ~3k random counter lines (~190 KB), evicting the
      *  legacy per-line counters from L1; a tight all-hops-per-line loop
-     *  would let them ride L1 and flatter the old layout. The issued
-     *  signatures (32 B x window) stay hot, exactly like the in-flight
-     *  ring messages that carry them. */
+     *  would let them ride L1 and flatter the old layout. */
     static constexpr std::size_t kInFlight = 512;
 
-    /** Per-transaction signatures, filled once at issue time — the
-     *  bench equivalent of the ProbeSignature riding in SnoopMessage. */
-    struct IssuedSignature
-    {
-        std::uint32_t supplier[ProbeSignature::kMaxFields];
-        std::uint32_t presence[ProbeSignature::kMaxFields];
-    };
-    mutable std::array<IssuedSignature, kInFlight> issued{};
-
     std::uint64_t
-    sweepHashed() const
+    sweepCounters() const
     {
         std::uint64_t acc = 0;
         for (std::size_t base = 0; base < probes.size();
@@ -464,29 +453,23 @@ struct ProbePathFixture
         return acc;
     }
 
-    /** The same visit order, new layout: indices filled once per
-     *  transaction, every node answers from its query bitmap. */
+    /** The same visit order, new layout: every hop derives the
+     *  indices from the address and answers from its node's query
+     *  bitmaps, as a gateway's predictor probe does. */
     std::uint64_t
-    sweepSignature() const
+    sweepBitmap() const
     {
         std::uint64_t acc = 0;
         for (std::size_t base = 0; base < probes.size();
              base += kInFlight) {
             const std::size_t batch =
                 std::min(kInFlight, probes.size() - base);
-            for (std::size_t i = 0; i < batch; ++i) {
-                const Node &issuer = nodes[(base + i) % kNodes];
-                const Addr line = probes[base + i];
-                issuer.supplier.fillSignature(line, issued[i].supplier);
-                issuer.presence.fillSignature(line, issued[i].presence);
-            }
             for (std::size_t hop = 0; hop < kNodes; ++hop) {
                 for (std::size_t i = 0; i < batch; ++i) {
                     const Node &node = nodes[(base + i + hop) % kNodes];
-                    acc = acc * 3 +
-                          node.supplier.mayContain(issued[i].supplier);
-                    acc = acc * 3 +
-                          node.presence.mayContain(issued[i].presence);
+                    const Addr line = probes[base + i];
+                    acc = acc * 3 + node.supplier.mayContain(line);
+                    acc = acc * 3 + node.presence.mayContain(line);
                 }
             }
         }
@@ -495,26 +478,26 @@ struct ProbePathFixture
 };
 
 void
-BM_ProbePathHashed(benchmark::State &state)
+BM_ProbePathCounters(benchmark::State &state)
 {
     const ProbePathFixture &fx = ProbePathFixture::instance();
     for (auto _ : state)
-        benchmark::DoNotOptimize(fx.sweepHashed());
+        benchmark::DoNotOptimize(fx.sweepCounters());
     state.SetItemsProcessed(state.iterations() * fx.probes.size() *
                             ProbePathFixture::kNodes);
 }
-BENCHMARK(BM_ProbePathHashed);
+BENCHMARK(BM_ProbePathCounters);
 
 void
-BM_ProbePathSignature(benchmark::State &state)
+BM_ProbePathBitmap(benchmark::State &state)
 {
     const ProbePathFixture &fx = ProbePathFixture::instance();
     for (auto _ : state)
-        benchmark::DoNotOptimize(fx.sweepSignature());
+        benchmark::DoNotOptimize(fx.sweepBitmap());
     state.SetItemsProcessed(state.iterations() * fx.probes.size() *
                             ProbePathFixture::kNodes);
 }
-BENCHMARK(BM_ProbePathSignature);
+BENCHMARK(BM_ProbePathBitmap);
 
 void
 reportProbePath()
@@ -524,39 +507,39 @@ reportProbePath()
         fx.probes.size() * ProbePathFixture::kNodes);
 
     // Warm both paths, then time each over several sweeps.
-    std::uint64_t hashed_sum = fx.sweepHashed();
-    std::uint64_t sig_sum = fx.sweepSignature();
-    const bool identical = hashed_sum == sig_sum;
+    std::uint64_t counters_sum = fx.sweepCounters();
+    std::uint64_t bitmap_sum = fx.sweepBitmap();
+    const bool identical = counters_sum == bitmap_sum;
 
     constexpr int kReps = 5;
     auto start = std::chrono::steady_clock::now();
     for (int i = 0; i < kReps; ++i)
-        benchmark::DoNotOptimize(hashed_sum += fx.sweepHashed());
+        benchmark::DoNotOptimize(counters_sum += fx.sweepCounters());
     auto stop = std::chrono::steady_clock::now();
-    const double hashed_ns =
+    const double counters_ns =
         std::chrono::duration<double, std::nano>(stop - start).count() /
         (kReps * hops);
 
     start = std::chrono::steady_clock::now();
     for (int i = 0; i < kReps; ++i)
-        benchmark::DoNotOptimize(sig_sum += fx.sweepSignature());
+        benchmark::DoNotOptimize(bitmap_sum += fx.sweepBitmap());
     stop = std::chrono::steady_clock::now();
-    const double sig_ns =
+    const double bitmap_ns =
         std::chrono::duration<double, std::nano>(stop - start).count() /
         (kReps * hops);
 
-    const double speedup = hashed_ns / sig_ns;
+    const double speedup = counters_ns / bitmap_ns;
     std::cout << "\nProbe path (16 nodes, supplier+presence per hop):\n"
-              << "  ns/hop-probe  hashed " << hashed_ns << "  signature "
-              << sig_ns << "  (" << speedup << "x faster)\n"
+              << "  ns/hop-probe  counters " << counters_ns << "  bitmap "
+              << bitmap_ns << "  (" << speedup << "x faster)\n"
               << "  answers identical: " << (identical ? "yes" : "NO")
               << "\n";
 
     bench::writeBenchRecord(
         "probe_path",
-        {{"ns_per_hop_probe_hashed", hashed_ns},
-         {"ns_per_hop_probe_signature", sig_ns},
-         {"speedup_probe_signature", speedup},
+        {{"ns_per_hop_probe_counters", counters_ns},
+         {"ns_per_hop_probe_bitmap", bitmap_ns},
+         {"speedup_probe_bitmap", speedup},
          {"results_identical", identical ? 1.0 : 0.0}});
 }
 

@@ -307,7 +307,7 @@ CmpNode::fillFromMemory(std::size_t reader, Addr line)
 }
 
 bool
-CmpNode::invalidateAll(Addr line, std::size_t skip_core, std::size_t l2_set)
+CmpNode::invalidateAll(Addr line, std::size_t skip_core)
 {
     line = lineAddr(line);
     // Snoop filter: the record names the L2s holding a copy, so a CMP
@@ -320,11 +320,8 @@ CmpNode::invalidateAll(Addr line, std::size_t skip_core, std::size_t l2_set)
         victims &= ~(std::uint32_t{1} << skip_core);
     if (victims == 0)
         return false;
-    // All local L2s share geometry: resolve the set once (or take the
-    // one the ring message's probe signature carries).
-    const std::size_t set =
-        l2_set != SIZE_MAX ? l2_set : _l2s[0]->setIndex(line);
-    assert(set == _l2s[0]->setIndex(line));
+    // All local L2s share geometry: resolve the set once.
+    const std::size_t set = _l2s[0]->setIndex(line);
     bool had_supplier = false;
     for (; victims != 0; victims &= victims - 1) {
         const LineState st =

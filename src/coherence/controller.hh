@@ -249,14 +249,6 @@ class CoherenceController : public RequestPort
     void startRingTransaction(CoreId core, Addr line, SnoopKind kind,
                               Cycle extra_delay, unsigned retries);
     void issueRingMessage(Transaction &txn);
-
-    /**
-     * Hash once, probe everywhere: resolve the line's predictor filter
-     * indices, L2 set and home node at ring-issue time. The signature
-     * rides in the SnoopMessage so every hop's probe is pure indexed
-     * loads (all nodes share filter and cache geometry).
-     */
-    ProbeSignature computeSignature(NodeId requester, Addr line) const;
     void finishAndErase(TransactionId id);
     void deliverReadData(Transaction &txn, bool from_memory);
     void completeWrite(Transaction &txn);
@@ -356,6 +348,8 @@ class CoherenceController : public RequestPort
     void supplierHit(NodeId node, SnoopMessage msg, GatewayLine *rec,
                      NodePending &p);
     void forwardMessage(NodeId node, const SnoopMessage &msg);
+    /** forwardMessage() after @p delay (the gateway's decision). */
+    void scheduleForward(Cycle delay, NodeId node, const SnoopMessage &msg);
     bool detectCollision(NodeId node, const GatewayLine *rec,
                          SnoopMessage &msg);
 
@@ -468,10 +462,9 @@ class CoherenceController : public RequestPort
      * steady-state protocol path performs no heap allocation.
      */
     SlotPool<Transaction> _txnPool;
-    /** Gateway decision/snoop events park their message here and
-     *  capture a slot pointer: a 96-byte SnoopMessage captured by
-     *  value overflows EventFn's inline buffer (heap allocation on
-     *  every hop). Buffered trailing replies park here too. */
+    /** Buffered trailing replies (NodePending::bufferedReply). Kept
+     *  out of line so a pending entry stays 32 bytes; gateway events
+     *  capture their message by value instead. */
     SlotPool<SnoopMessage> _msgPool;
     FlatMap<Transaction *> _transactions;
     /** Per-node gateway records (own txn, gate, pendings). They live
@@ -506,10 +499,6 @@ class CoherenceController : public RequestPort
      *  a transaction follows the first decision, so a round's request,
      *  trailing reply and conclusion see a consistent geometry. */
     std::vector<FlatMap<std::uint8_t>> _bridgeDecisions;
-
-    /** Hash-once probe signatures on ring messages; disabled only by
-     *  FLEXSNOOP_NO_PROBE_SIG for fallback-equivalence testing. */
-    bool _probeSignatures = true;
 
     /** Event tracing (docs/TRACING.md); null (zero-cost) by default. */
     TraceSink *_trace = nullptr;

@@ -118,6 +118,9 @@ struct NodePending
     SnoopMessage *bufferedReply = nullptr;
 };
 
+static_assert(sizeof(NodePending) == 32,
+              "a pending entry stays half a cache line");
+
 /**
  * Everything one CMP gateway tracks about one line: the node's own
  * outstanding transaction on it, the ring-order gate (docs/PROTOCOL.md

@@ -214,6 +214,7 @@ describeConfig(const MachineConfig &config)
         << " ring_link_latency=" << config.ring.linkLatency
         << " ring_serialization=" << config.ring.serialization
         << " cmp_snoop_time=" << config.coherence.cmpSnoopTime
+        << " retry_backoff=" << config.coherence.retryBackoff
         << " mem_local_rt=" << config.memory.localRoundTrip
         << " mem_remote_rt=" << config.memory.remoteRoundTrip
         << " mem_prefetch_rt=" << config.memory.remotePrefetchRoundTrip

@@ -22,13 +22,6 @@ L2Cache::state(Addr line) const
     return st ? *st : LineState::Invalid;
 }
 
-LineState
-L2Cache::state(Addr line, std::size_t set) const
-{
-    const LineState *st = _array.lookupInSet(set, lineAddr(line));
-    return st ? *st : LineState::Invalid;
-}
-
 L2Cache::Eviction
 L2Cache::fill(Addr line, LineState st)
 {

@@ -61,9 +61,6 @@ class L2Cache
     /** Protocol state of @p line (Invalid when not cached). */
     LineState state(Addr line) const;
 
-    /** state() with the set index already known (probe signatures). */
-    LineState state(Addr line, std::size_t set) const;
-
     /** Set index of @p line; uniform across all L2s of the machine. */
     std::size_t setIndex(Addr line) const
     {

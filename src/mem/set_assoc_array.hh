@@ -125,9 +125,9 @@ class SetAssocArray
     }
 
     /**
-     * lookup() with the set index already known — the snoop hot path
-     * carries it in the message's probe signature (geometry is uniform
-     * across all L2s of the machine, so one index serves every node).
+     * lookup() with the set index already known: a write snoop resolves
+     * the set once for all L2s of a CMP (geometry is uniform across
+     * all L2s of the machine).
      */
     Payload *
     lookupInSet(std::size_t set, Addr line, bool touch = true)
@@ -138,13 +138,6 @@ class SetAssocArray
         if (touch)
             _lru[w] = ++_clock;
         return &_data[w];
-    }
-
-    const Payload *
-    lookupInSet(std::size_t set, Addr line) const
-    {
-        return const_cast<SetAssocArray *>(this)->lookupInSet(set, line,
-                                                              false);
     }
 
     /**

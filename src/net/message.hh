@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <string_view>
 
-#include "net/probe_signature.hh"
 #include "sim/types.hh"
 
 namespace flexsnoop
@@ -55,24 +54,28 @@ toString(MsgType t)
 /**
  * One message on a snoop ring.
  *
- * Value type: each hop copies it into a pooled slot that the hop's
- * event points at, and gateways copy it when they defer, buffer or
- * re-emit it.
+ * Value type, 48 bytes: ring arrivals and gateway events capture it by
+ * value in their event slot, and gateways copy it when they defer,
+ * buffer or re-emit it. Fields are ordered widest first so the struct
+ * carries no interior padding; keep it that way.
  */
 struct SnoopMessage
 {
-    MsgType type = MsgType::CombinedRR;
-    SnoopKind kind = SnoopKind::Read;
     TransactionId txn = kInvalidTransaction;
     Addr line = kInvalidAddr;
-    NodeId requester = kInvalidNode;
 
-    /** Read: a supplier was found upstream; the data is on its way. */
-    bool found = false;
+    /**
+     * Host-side hint: the line's gateway record as of ring issue, so a
+     * gateway reaches its per-node state without hashing the line. It
+     * models nothing. Consumers trust it only while it still names this
+     * line (a released record names none) and otherwise look the line
+     * up; null on crafted messages.
+     */
+    LineRecord *lineHint = nullptr;
+
+    NodeId requester = kInvalidNode;
     /** Node that supplied (valid when found). */
     NodeId supplier = kInvalidNode;
-    /** Transaction lost a collision; requester must retry. */
-    bool squashed = false;
     /**
      * For replies: number of ring nodes whose snoop outcome has been
      * accumulated so far (used to know when a reply is complete).
@@ -88,24 +91,17 @@ struct SnoopMessage
      */
     std::uint32_t visits = 0;
 
-    /**
-     * Hash-once probe signature: the line's predictor filter indices,
-     * L2 set and home node, computed at ring-issue time so every hop
-     * probes with pure indexed loads. Invalid (default) on messages
-     * crafted outside issueRingMessage; consumers then fall back to
-     * deriving the values from the address.
-     */
-    ProbeSignature sig;
-
-    /**
-     * Host-side hint, like the signature: the line's gateway record as
-     * of ring issue, so a gateway reaches its per-node state without
-     * hashing the line. It models nothing. Consumers trust it only
-     * while it still names this line (a released record names none)
-     * and otherwise look the line up; null on crafted messages.
-     */
-    LineRecord *lineHint = nullptr;
+    MsgType type = MsgType::CombinedRR;
+    SnoopKind kind = SnoopKind::Read;
+    /** Read: a supplier was found upstream; the data is on its way. */
+    bool found = false;
+    /** Transaction lost a collision; requester must retry. */
+    bool squashed = false;
 };
+
+static_assert(sizeof(SnoopMessage) == 48,
+              "a ring arrival captures [this, node, msg] in EventFn's "
+              "64-byte inline buffer");
 
 } // namespace flexsnoop
 

@@ -112,12 +112,7 @@ Ring::finishSend(NodeId from, NodeId to, Cycle now, Cycle start,
                                static_cast<std::uint16_t>(msg.type),
                                hopFlags(msg, global_leg));
             }
-            SnoopMessage *dup = _inFlight.acquire();
-            *dup = msg;
-            _queue.scheduleAt(start2 + latency, [this, to, dup]() {
-                _handlers[to](*dup);
-                _inFlight.release(dup);
-            });
+            deliver(to, start2 + latency, msg);
             break;
           }
           case FaultInjector::LinkAction::Delay:
@@ -142,15 +137,20 @@ Ring::finishSend(NodeId from, NodeId to, Cycle now, Cycle start,
                        static_cast<std::uint16_t>(msg.type),
                        hopFlags(msg, global_leg));
 
-    SnoopMessage *slot = _inFlight.acquire();
-    *slot = msg;
-    _queue.scheduleAt(arrive, [this, to, slot]() {
+    deliver(to, arrive, msg);
+}
+
+void
+Ring::deliver(NodeId to, Cycle arrive, const SnoopMessage &msg)
+{
+    // The message rides in the event's own slot: [this, to, msg] is
+    // exactly EventFn's inline buffer, so a hop allocates nothing.
+    auto arrival = [this, to, msg]() {
         assert(_handlers[to] && "message arrived at node with no handler");
-        // Deliver from the slot, then recycle it. A handler that sends
-        // the message onward copies it into a fresh slot first.
-        _handlers[to](*slot);
-        _inFlight.release(slot);
-    });
+        _handlers[to](msg);
+    };
+    static_assert(EventFn::fitsInline<decltype(arrival)>());
+    _queue.scheduleAt(arrive, std::move(arrival));
 }
 
 void

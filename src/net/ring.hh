@@ -19,7 +19,6 @@
 
 #include "net/message.hh"
 #include "sim/event_queue.hh"
-#include "sim/slot_pool.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
 
@@ -158,6 +157,9 @@ class Ring
                     Cycle latency, Cycle &link_free, bool global_leg,
                     const SnoopMessage &msg);
 
+    /** Schedule @p msg's arrival at node @p to at cycle @p arrive. */
+    void deliver(NodeId to, Cycle arrive, const SnoopMessage &msg);
+
     EventQueue &_queue;
     std::size_t _numNodes;
     RingParams _params;
@@ -166,11 +168,6 @@ class Ring
     /** Per-block global-link occupancy (hier topology; empty in flat). */
     std::vector<Cycle> _globalFree;
     const Topology *_topo = nullptr; ///< hierarchy geometry; null = flat
-    /** In-flight messages parked between send and arrival. Arrival
-     *  events capture a stable slot pointer instead of the message by
-     *  value: with the ProbeSignature aboard, a by-value capture would
-     *  overflow EventFn's inline buffer and heap-allocate every hop. */
-    SlotPool<SnoopMessage> _inFlight;
     FaultInjector *_faults = nullptr; ///< unreliable-ring mode hook
     TraceSink *_trace = nullptr;      ///< per-hop tracing hook
     StatGroup _stats;

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "net/probe_signature.hh"
 #include "sim/types.hh"
 
 namespace flexsnoop
@@ -41,8 +40,8 @@ namespace flexsnoop
 class CountingBloomFilter
 {
   public:
-    /** Most fields a filter supports (= signature capacity). */
-    static constexpr unsigned kMaxFields = ProbeSignature::kMaxFields;
+    /** Most fields a filter supports (paper configs use 3). */
+    static constexpr unsigned kMaxFields = 4;
     /** Sticky saturation ceiling of one 16-bit counter. */
     static constexpr std::uint16_t kCounterMax = 0xFFFF;
 
@@ -74,11 +73,10 @@ class CountingBloomFilter
     }
 
     /**
-     * Precompute the line's global bitmap-entry indices (one per
-     * field). @p out must hold kMaxFields slots. @return the field
-     * count, for ProbeSignature bookkeeping. All filters built with the
-     * same field widths share geometry, so a signature filled here is
-     * valid against any of them.
+     * The line's global bitmap-entry indices (one per field). @p out
+     * must hold kMaxFields slots. @return the field count. All filters
+     * built with the same field widths share geometry, so indices
+     * filled here are valid against any of them.
      */
     unsigned
     fillSignature(Addr line, std::uint32_t *out) const
@@ -94,10 +92,10 @@ class CountingBloomFilter
 
     /**
      * Query with precomputed indices: pure indexed loads into the
-     * packed zero bitmap — the per-hop hot path. Never touches the
-     * counters. Branchless on purpose: ANDing the field bits costs at
-     * most two extra L1 loads, while an early-exit loop costs a
-     * data-dependent mispredict on nearly every probe.
+     * packed zero bitmap, which every hop's probe ends in. Never
+     * touches the counters. Branchless on purpose: ANDing the field
+     * bits costs at most two extra L1 loads, while an early-exit loop
+     * costs a data-dependent mispredict on nearly every probe.
      */
     bool
     mayContain(const std::uint32_t *sig) const
@@ -108,19 +106,6 @@ class CountingBloomFilter
             hit &= _bitmap[e >> 6] >> (e & 63);
         }
         return hit & 1;
-    }
-
-    /** True when @p sig is exactly fillSignature(line) (Debug checks). */
-    bool
-    signatureMatches(Addr line, const std::uint32_t *sig) const
-    {
-        std::uint32_t fresh[kMaxFields];
-        fillSignature(line, fresh);
-        for (unsigned f = 0; f < _numFields; ++f) {
-            if (fresh[f] != sig[f])
-                return false;
-        }
-        return true;
     }
 
     /** Number of elements currently inserted. */

@@ -15,10 +15,8 @@
 #ifndef FLEXSNOOP_PREDICTOR_PRESENCE_PREDICTOR_HH
 #define FLEXSNOOP_PREDICTOR_PRESENCE_PREDICTOR_HH
 
-#include <cassert>
 #include <vector>
 
-#include "net/probe_signature.hh"
 #include "predictor/bloom_filter.hh"
 #include "sim/stats.hh"
 #include "sim/types.hh"
@@ -41,19 +39,6 @@ class PresencePredictor
 
     /** True when the CMP *may* hold a copy of @p line. */
     bool mayBePresent(Addr line);
-
-    /** mayBePresent() answered from the ring message's hash-once
-     *  signature when it carries matching filter geometry; falls back
-     *  to hashing the address otherwise. Same answer either way. */
-    bool mayBePresent(Addr line, const ProbeSignature &sig);
-
-    /** Fill @p out with this filter's indices for @p line; returns the
-     *  field count (ProbeSignature bookkeeping). */
-    unsigned
-    fillSignature(Addr line, std::uint32_t *out) const
-    {
-        return _filter.fillSignature(lineAddr(line), out);
-    }
 
     /** The CMP gained its first copy of @p line. */
     void
@@ -79,17 +64,6 @@ class PresencePredictor
     const StatGroup &stats() const { return _stats; }
 
   private:
-    /** True when @p sig carries usable presence-filter indices. */
-    bool
-    sigUsable(Addr line, const ProbeSignature &sig) const
-    {
-        if (sig.presenceFields != _filter.numFields())
-            return false;
-        assert(_filter.signatureMatches(lineAddr(line), sig.presence));
-        (void)line;
-        return true;
-    }
-
     CountingBloomFilter _filter;
     Cycle _latency;
     StatGroup _stats;
@@ -98,8 +72,6 @@ class PresencePredictor
     Counter &_filteredStat = _stats.counter("filtered");
     Counter &_trains = _stats.counter("trains");
     Counter &_removals = _stats.counter("removals");
-    Counter &_probeSignature = _stats.counter("probe_signature");
-    Counter &_probeHashed = _stats.counter("probe_hashed");
 };
 
 } // namespace flexsnoop

@@ -31,9 +31,9 @@ class EventFn
 {
   public:
     /** Inline storage: sized so the retry lambda (this, core, line,
-     *  kind, retry count and the waiters vector) stays allocation-free.
-     *  Ring hops and gateway events capture a pooled SnoopMessage slot
-     *  pointer, not the message. */
+     *  kind, retry count and the waiters vector) stays allocation-free,
+     *  and so do ring arrivals and gateway events, which capture
+     *  [this, node, msg] with the 48-byte SnoopMessage by value. */
     static constexpr std::size_t kInlineSize = 64;
 
     EventFn() noexcept = default;

@@ -153,30 +153,33 @@ TEST(BloomFilter, SingleFieldDegeneratesToDirectTable)
 TEST(BloomFilter, SignatureQueryMatchesAddressQuery)
 {
     // The precomputed-index query path must answer exactly like the
-    // hashing path, for hits, misses and aliases alike.
+    // hashing path, for hits, misses and aliases alike, and the indices
+    // must be the line's field values placed in each field's region.
     CountingBloomFilter filter({9, 9, 6});
     Rng rng(99);
     for (int i = 0; i < 3000; ++i)
         filter.insert(lineAt(rng.nextBelow(100000)));
     for (int i = 0; i < 20000; ++i) {
         const Addr line = lineAt(rng.nextBelow(120000));
-        std::uint32_t sig[ProbeSignature::kMaxFields];
+        std::uint32_t sig[CountingBloomFilter::kMaxFields];
         ASSERT_EQ(filter.fillSignature(line, sig), 3u);
-        ASSERT_TRUE(filter.signatureMatches(line, sig));
+        const std::uint64_t idx = lineIndex(line);
+        ASSERT_EQ(sig[0], idx & 511);
+        ASSERT_EQ(sig[1], 512 + ((idx >> 9) & 511));
+        ASSERT_EQ(sig[2], 1024 + ((idx >> 18) & 63));
         ASSERT_EQ(filter.mayContain(sig), filter.mayContain(line));
     }
 }
 
 TEST(BloomFilter, SharedGeometryFiltersAcceptForeignSignatures)
 {
-    // A signature computed against one filter instance answers
-    // correctly on any other instance with the same field widths — the
-    // property that lets one ring-issue-time signature serve every
-    // node's predictor on the traversal.
+    // Indices filled by one filter instance answer correctly on any
+    // other instance with the same field widths: the geometry is a
+    // function of the widths alone.
     CountingBloomFilter source({10, 4, 7});
     CountingBloomFilter sink({10, 4, 7});
     sink.insert(lineAt(77));
-    std::uint32_t sig[ProbeSignature::kMaxFields];
+    std::uint32_t sig[CountingBloomFilter::kMaxFields];
     source.fillSignature(lineAt(77), sig);
     EXPECT_TRUE(sink.mayContain(sig));
     source.fillSignature(lineAt(78), sig);

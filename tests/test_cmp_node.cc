@@ -488,16 +488,13 @@ class CmpNodeRandomTraffic : public ::testing::TestWithParam<std::uint64_t>
         EXPECT_EQ(node.supplierSetSize(), supplied);
     }
 
-    /** invalidateAll, with the set index passed or derived at random,
-     *  checked against the scan's answer. */
+    /** invalidateAll, checked against the scan's answer. */
     void
     invalidate(std::size_t n, Addr line, std::size_t skip)
     {
         CmpNode &node = *nodes[n];
         const bool want = suppliesOutside(node, line, skip);
-        const std::size_t set =
-            rng.chance(0.5) ? node.l2(0).setIndex(line) : SIZE_MAX;
-        EXPECT_EQ(node.invalidateAll(line, skip, set), want)
+        EXPECT_EQ(node.invalidateAll(line, skip), want)
             << "invalidateAll cmp" << n << " skip " << skip;
         ++invalidations;
     }

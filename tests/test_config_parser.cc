@@ -5,7 +5,13 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <set>
 #include <sstream>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "coherence/cmp_node.hh"
 #include "core/config_parser.hh"
@@ -200,21 +206,116 @@ TEST(ConfigParser, ApplyOverridesInOrder)
 
 TEST(ConfigParser, DescribeRoundTripsThroughApply)
 {
-    MachineConfig cfg = MachineConfig::paperDefault(Algorithm::Exact);
-    cfg.l2Entries = 1234 * 2; // arbitrary tweaks
-    cfg.ring.linkLatency = 77;
-    const std::string desc = describeConfig(cfg);
+    // One row per configuration key: a value away from the default and
+    // the config field it lands in, spelled as describeConfig spells it.
+    using Field = std::function<std::string(const MachineConfig &)>;
+    const auto num = [](auto v) { return std::to_string(v); };
+    const std::vector<std::tuple<std::string, std::string, Field>> rows = {
+        {"algorithm", "SupersetCon",
+         [](const MachineConfig &c) {
+             return std::string(toString(c.algorithm));
+         }},
+        {"predictor", "y2k",
+         [](const MachineConfig &c) { return c.predictor.id; }},
+        {"num_cmps", "12",
+         [&](const MachineConfig &c) { return num(c.numCmps); }},
+        {"cores_per_cmp", "2",
+         [&](const MachineConfig &c) { return num(c.coresPerCmp); }},
+        {"l2_entries", "2468",
+         [&](const MachineConfig &c) { return num(c.l2Entries); }},
+        {"l2_ways", "4",
+         [&](const MachineConfig &c) { return num(c.l2Ways); }},
+        {"num_rings", "3",
+         [&](const MachineConfig &c) { return num(c.numRings); }},
+        {"ring_link_latency", "77",
+         [&](const MachineConfig &c) { return num(c.ring.linkLatency); }},
+        {"ring_serialization", "9",
+         [&](const MachineConfig &c) { return num(c.ring.serialization); }},
+        {"mem_local_rt", "351",
+         [&](const MachineConfig &c) {
+             return num(c.memory.localRoundTrip);
+         }},
+        {"mem_remote_rt", "711",
+         [&](const MachineConfig &c) {
+             return num(c.memory.remoteRoundTrip);
+         }},
+        {"mem_prefetch_rt", "313",
+         [&](const MachineConfig &c) {
+             return num(c.memory.remotePrefetchRoundTrip);
+         }},
+        {"prefetch_enabled", "0",
+         [&](const MachineConfig &c) {
+             return num(int{c.memory.prefetchEnabled});
+         }},
+        {"cmp_snoop_time", "56",
+         [&](const MachineConfig &c) {
+             return num(c.coherence.cmpSnoopTime);
+         }},
+        {"retry_backoff", "201",
+         [&](const MachineConfig &c) {
+             return num(c.coherence.retryBackoff);
+         }},
+        {"max_outstanding", "5",
+         [&](const MachineConfig &c) { return num(c.core.maxOutstanding); }},
+        {"write_filtering", "1",
+         [&](const MachineConfig &c) { return num(int{c.writeFiltering}); }},
+        {"watchdog_cycles", "20000",
+         [&](const MachineConfig &c) {
+             return num(c.coherence.watchdogCycles);
+         }},
+        {"max_retries", "999",
+         [&](const MachineConfig &c) { return num(c.coherence.maxRetries); }},
+        {"topology", "hier",
+         [](const MachineConfig &c) {
+             return std::string(toString(c.topology.kind));
+         }},
+        {"local_rings", "3",
+         [&](const MachineConfig &c) { return num(c.topology.localRings); }},
+        {"global_hop_cycles", "63",
+         [&](const MachineConfig &c) {
+             return num(c.topology.globalHopCycles);
+         }},
+        {"global_algorithm", "Oracle",
+         [](const MachineConfig &c) { return c.topology.globalAlgorithm; }},
+    };
 
-    // Re-apply every key=value from the description to a fresh config.
-    MachineConfig rebuilt = MachineConfig::paperDefault(Algorithm::Lazy);
+    // The table covers every key the parser accepts, so a key added to
+    // the parser but not to the description fails here.
+    std::set<std::string> table_keys;
+    for (const auto &[key, value, field] : rows)
+        table_keys.insert(key);
+    EXPECT_EQ(table_keys, std::set<std::string>(configKeys().begin(),
+                                                configKeys().end()));
+
+    const MachineConfig fresh = MachineConfig::paperDefault(Algorithm::Lazy);
+    MachineConfig cfg = fresh;
+    for (const auto &[key, value, field] : rows) {
+        ASSERT_NE(field(fresh), value) << key << " is already the default";
+        applyOverride(cfg, key + "=" + value);
+    }
+    ASSERT_TRUE(cfg.topology.hierarchical());
+
+    // The description names every key once, and re-applying its
+    // key=value tokens to a fresh config rebuilds every value.
+    const std::string desc = describeConfig(cfg);
+    std::map<std::string, std::string> described;
+    MachineConfig rebuilt = fresh;
     std::istringstream iss(desc);
     std::string token;
-    while (iss >> token)
+    while (iss >> token) {
+        const auto eq = token.find('=');
+        ASSERT_NE(eq, std::string::npos) << token;
+        EXPECT_TRUE(described.emplace(token.substr(0, eq),
+                                      token.substr(eq + 1))
+                        .second)
+            << "named twice: " << token;
         applyOverride(rebuilt, token);
-    EXPECT_EQ(rebuilt.algorithm, cfg.algorithm);
-    EXPECT_EQ(rebuilt.predictor.id, cfg.predictor.id);
-    EXPECT_EQ(rebuilt.l2Entries, cfg.l2Entries);
-    EXPECT_EQ(rebuilt.ring.linkLatency, cfg.ring.linkLatency);
+    }
+    for (const auto &[key, value, field] : rows) {
+        EXPECT_EQ(described.count(key), 1u) << key << " missing: " << desc;
+        EXPECT_EQ(field(cfg), value) << key;
+        EXPECT_EQ(field(rebuilt), value) << key;
+    }
 }
 
 TEST(ConfigParser, KeyListIsNonEmptyAndAccepted)

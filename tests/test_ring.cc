@@ -5,9 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "net/ring.hh"
+#include "sim/fault_injector.hh"
 
 namespace flexsnoop
 {
@@ -133,23 +135,92 @@ TEST(Ring, DistinctLinksDoNotInterfere)
     EXPECT_EQ(arrivals[1].second, 20u);
 }
 
-TEST(Ring, MessageContentIsPreserved)
+/** A message with every field away from its default. */
+SnoopMessage
+fullMsg()
+{
+    static int record_stand_in; // only the pointer value travels
+    SnoopMessage msg;
+    msg.txn = 77;
+    msg.line = 0x1234c0;
+    msg.lineHint = reinterpret_cast<LineRecord *>(&record_stand_in);
+    msg.requester = 1;
+    msg.supplier = 5;
+    msg.acksCollected = 3;
+    msg.visits = 4;
+    msg.type = MsgType::SnoopReply;
+    msg.kind = SnoopKind::Write;
+    msg.found = true;
+    msg.squashed = true;
+    return msg;
+}
+
+void
+expectEveryField(const SnoopMessage &got, const SnoopMessage &want)
+{
+    EXPECT_EQ(got.txn, want.txn);
+    EXPECT_EQ(got.line, want.line);
+    EXPECT_EQ(got.lineHint, want.lineHint);
+    EXPECT_EQ(got.requester, want.requester);
+    EXPECT_EQ(got.supplier, want.supplier);
+    EXPECT_EQ(got.acksCollected, want.acksCollected);
+    EXPECT_EQ(got.visits, want.visits);
+    EXPECT_EQ(got.type, want.type);
+    EXPECT_EQ(got.kind, want.kind);
+    EXPECT_EQ(got.found, want.found);
+    EXPECT_EQ(got.squashed, want.squashed);
+}
+
+/** Send fullMsg() from node 0 of a 2-node ring, with every link
+ *  traversal faulted per @p faults, and collect (message, cycle) of
+ *  each arrival at node 1. */
+std::vector<std::pair<SnoopMessage, Cycle>>
+sendFull(const FaultConfig &faults)
 {
     EventQueue queue;
     Ring ring(queue, 2, RingParams{}, "r");
-    SnoopMessage sent = makeMsg(77, 0x1234c0, 0);
-    sent.found = true;
-    sent.supplier = 5;
-    sent.acksCollected = 3;
-    SnoopMessage received;
-    ring.setHandler(1, [&](const SnoopMessage &m) { received = m; });
-    ring.send(0, sent);
+    FaultInjector injector(faults);
+    ring.setFaultInjector(&injector);
+    std::vector<std::pair<SnoopMessage, Cycle>> arrivals;
+    ring.setHandler(1, [&](const SnoopMessage &m) {
+        arrivals.emplace_back(m, queue.now());
+    });
+    ring.send(0, fullMsg());
     queue.run();
-    EXPECT_EQ(received.txn, 77u);
-    EXPECT_EQ(received.line, 0x1234c0u);
-    EXPECT_TRUE(received.found);
-    EXPECT_EQ(received.supplier, 5u);
-    EXPECT_EQ(received.acksCollected, 3u);
+    return arrivals;
+}
+
+TEST(Ring, MessageContentIsPreserved)
+{
+    const Cycle latency = RingParams{}.linkLatency;
+    {
+        SCOPED_TRACE("plain send");
+        const auto arrivals = sendFull(FaultConfig{});
+        ASSERT_EQ(arrivals.size(), 1u);
+        EXPECT_EQ(arrivals[0].second, latency);
+        expectEveryField(arrivals[0].first, fullMsg());
+    }
+    {
+        SCOPED_TRACE("duplicated send");
+        FaultConfig dup;
+        dup.dupRate = 1.0;
+        const auto arrivals = sendFull(dup);
+        ASSERT_EQ(arrivals.size(), 2u);
+        EXPECT_EQ(arrivals[0].second, latency);
+        EXPECT_EQ(arrivals[1].second,
+                  latency + RingParams{}.serialization);
+        expectEveryField(arrivals[0].first, fullMsg());
+        expectEveryField(arrivals[1].first, fullMsg());
+    }
+    {
+        SCOPED_TRACE("delayed send");
+        FaultConfig delay;
+        delay.delayRate = 1.0;
+        const auto arrivals = sendFull(delay);
+        ASSERT_EQ(arrivals.size(), 1u);
+        EXPECT_EQ(arrivals[0].second, latency + delay.delayCycles);
+        expectEveryField(arrivals[0].first, fullMsg());
+    }
 }
 
 TEST(RingNetwork, AddressesInterleaveAcrossRings)
