@@ -1,8 +1,9 @@
 /**
  * @file
- * Head-to-head scheduler benchmark: the hierarchical timing wheel vs
- * the reference binary heap, on the event shapes the simulator actually
- * produces. Two scenarios:
+ * Head-to-head scheduler benchmark: EventQueue's hierarchical timing
+ * wheel vs the reference binary heap (tests/reference_heap_queue.hh,
+ * the simulator's original scheduler, kept as a test oracle), on the
+ * event shapes the simulator actually produces. Two scenarios:
  *
  *  - steady state: a full queue (1k / 16k pending) with one pop and one
  *    schedule per operation, delays drawn from the ring/bus/memory/
@@ -10,9 +11,10 @@
  *  - burst: schedule a batch cold and drain it — experiment setup and
  *    teardown phases.
  *
- * Reports ns/op per implementation and the wheel's speedup, and writes
- * BENCH_event_queue.json (schema in docs/METRICS.md). The acceptance
- * bound for the scheduler rewrite is speedup_steady_* >= 2.
+ * Reports ns/op per scheduler and the wheel's speedup, and writes
+ * BENCH_event_queue.json (schema in docs/METRICS.md), with the host's
+ * core count and the number of bench runs the record summarises (one).
+ * tools/check_bench_regression.py gates the speedup_* ratios.
  */
 
 #include <algorithm>
@@ -20,10 +22,13 @@
 #include <cstdint>
 #include <iostream>
 #include <string>
+#include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hh"
+#include "reference_heap_queue.hh"
 #include "sim/event_queue.hh"
 
 namespace flexsnoop
@@ -31,8 +36,8 @@ namespace flexsnoop
 namespace
 {
 
-/** Deterministic xorshift64* so both implementations (and every run)
- *  see the same delay sequence. */
+/** Deterministic xorshift64* so both schedulers (and every run) see
+ *  the same delay sequence. */
 struct Rng
 {
     std::uint64_t s = 0x9e3779b97f4a7c15ull;
@@ -99,16 +104,25 @@ drawDelays()
     return delays;
 }
 
+/** The wheel's near level as MachineConfig::paperDefault sizes it;
+ *  the heap has no geometry to configure. */
+template <typename Queue>
+void
+configure(Queue &q)
+{
+    if constexpr (std::is_same_v<Queue, EventQueue>)
+        q.configureWheel(1024);
+}
+
 /** Steady-state schedule/pop at ~@p depth pending events. @return ns
  *  per (pop + schedule) pair. */
+template <typename Queue>
 double
-steadyStateNsPerOp(EventQueue::Impl impl, std::size_t depth,
-                   std::size_t ops)
+steadyStateNsPerOp(std::size_t depth, std::size_t ops)
 {
     static const std::vector<Cycle> delays = drawDelays();
-    EventQueue q(impl);
-    q.configureWheel(1024); // what MachineConfig::paperDefault derives
-    q.reserve(depth + 1);
+    Queue q;
+    configure(q);
     std::uint64_t sink = 0;
     for (std::size_t i = 0; i < depth; ++i)
         q.schedule(delays[i & kDelayMask], [&sink]() { ++sink; });
@@ -120,21 +134,19 @@ steadyStateNsPerOp(EventQueue::Impl impl, std::size_t depth,
     }
     const auto stop = std::chrono::steady_clock::now();
 
-    q.clear();
     if (sink != ops) // keep the callables observable
         std::cerr << "steady-state sink mismatch\n";
     return toNs(stop - start) / static_cast<double>(ops);
 }
 
 /** Cold batch schedule + full drain. @return ns per event. */
+template <typename Queue>
 double
-burstNsPerEvent(EventQueue::Impl impl, std::size_t batch,
-                std::size_t rounds)
+burstNsPerEvent(std::size_t batch, std::size_t rounds)
 {
     static const std::vector<Cycle> delays = drawDelays();
-    EventQueue q(impl);
-    q.configureWheel(1024);
-    q.reserve(batch);
+    Queue q;
+    configure(q);
     std::uint64_t sink = 0;
     const auto start = std::chrono::steady_clock::now();
     for (std::size_t r = 0; r < rounds; ++r) {
@@ -154,7 +166,7 @@ template <typename Fn>
 double
 bestOf(Fn &&fn)
 {
-    fn(); // warmup: page faults, bucket/heap capacity growth
+    fn(); // warmup: page faults, slot pool and heap capacity growth
     double best = fn();
     for (int i = 0; i < 4; ++i)
         best = std::min(best, fn());
@@ -190,40 +202,29 @@ main()
 
     std::cout << "Event-queue scheduler: binary heap vs timing wheel\n";
 
-    const Pair steady_1k = {
-        bestOf([&]() {
-            return steadyStateNsPerOp(EventQueue::Impl::Heap, 1024,
-                                      ops(2'000'000));
-        }),
-        bestOf([&]() {
-            return steadyStateNsPerOp(EventQueue::Impl::Wheel, 1024,
-                                      ops(2'000'000));
-        })};
+    const auto steady = [&](std::size_t depth) {
+        return Pair{bestOf([&]() {
+                        return steadyStateNsPerOp<ReferenceHeapQueue>(
+                            depth, ops(2'000'000));
+                    }),
+                    bestOf([&]() {
+                        return steadyStateNsPerOp<EventQueue>(
+                            depth, ops(2'000'000));
+                    })};
+    };
+    const Pair steady_1k = steady(1024);
     report("steady 1k pending   ", steady_1k);
-
-    const Pair steady_16k = {
-        bestOf([&]() {
-            return steadyStateNsPerOp(EventQueue::Impl::Heap, 16384,
-                                      ops(2'000'000));
-        }),
-        bestOf([&]() {
-            return steadyStateNsPerOp(EventQueue::Impl::Wheel, 16384,
-                                      ops(2'000'000));
-        })};
+    const Pair steady_16k = steady(16384);
     report("steady 16k pending  ", steady_16k);
 
+    const std::size_t burst_rounds =
+        std::max<std::size_t>(1, static_cast<std::size_t>(40 * scale));
     const Pair burst = {
         bestOf([&]() {
-            return burstNsPerEvent(EventQueue::Impl::Heap, 16384,
-                                   std::max<std::size_t>(
-                                       1, static_cast<std::size_t>(
-                                              40 * scale)));
+            return burstNsPerEvent<ReferenceHeapQueue>(16384, burst_rounds);
         }),
         bestOf([&]() {
-            return burstNsPerEvent(EventQueue::Impl::Wheel, 16384,
-                                   std::max<std::size_t>(
-                                       1, static_cast<std::size_t>(
-                                              40 * scale)));
+            return burstNsPerEvent<EventQueue>(16384, burst_rounds);
         })};
     report("burst 16k batch     ", burst);
 
@@ -237,6 +238,9 @@ main()
          {"speedup_steady16k", steady_16k.speedup()},
          {"ns_per_event_burst_heap", burst.heap},
          {"ns_per_event_burst_wheel", burst.wheel},
-         {"speedup_burst", burst.speedup()}});
+         {"speedup_burst", burst.speedup()},
+         {"host_cores",
+          static_cast<double>(std::thread::hardware_concurrency())},
+         {"bench_runs", 1.0}});
     return 0;
 }

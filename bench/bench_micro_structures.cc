@@ -655,14 +655,8 @@ reportMetricsOverhead()
         on_ns = r == 0 ? on : std::min(on_ns, on);
     }
     const double overhead_pct = (on_ns / off_ns - 1.0) * 100.0;
-    const bool identical =
-        off_result.execCycles == on_result.execCycles &&
-        off_result.readRingRequests == on_result.readRingRequests &&
-        off_result.readSnoops == on_result.readSnoops &&
-        off_result.readLinkMessages == on_result.readLinkMessages &&
-        off_result.energyNj == on_result.energyNj &&
-        off_result.retries == on_result.retries &&
-        off_result.p95ReadLatency == on_result.p95ReadLatency;
+    // Every RunResult field, doubles included.
+    const bool identical = off_result == on_result;
 
     std::cout << "\nMetric-sampling overhead (mini, supersetagg, "
               << "interval 10k):\n"

@@ -83,7 +83,6 @@ CoherenceController::setTopology(
         _globalPolicy = nullptr;
         _bridgeSupplier = nullptr;
         _bridgePresence = nullptr;
-        _bridgeDecisions.clear();
         return;
     }
     assert(topo->numNodes() == _nodes.size());
@@ -91,8 +90,6 @@ CoherenceController::setTopology(
     _globalPolicy = global_policy;
     _bridgeSupplier = bridge_supplier;
     _bridgePresence = bridge_presence;
-    _bridgeDecisions =
-        std::vector<FlatMap<std::uint8_t>>(topo->numBlocks());
 }
 
 CoherenceController::PoolUsage
@@ -463,6 +460,8 @@ CoherenceController::startRingTransaction(CoreId core, Addr line,
     txn->core = core;
     txn->issued = _queue.now();
     txn->retries = retries;
+    if (_topo)
+        txn->bridgeActions.resize(_topo->numBlocks());
     if (kind == SnoopKind::Write) {
         txn->writeNeedsData =
             !isValidState(_nodes[n]->coreState(local, line));
@@ -840,15 +839,19 @@ bool
 CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg,
                                   LineRecord *&lr)
 {
-    const std::size_t block = _topo->blockOf(node);
-    auto &decisions = _bridgeDecisions[block];
+    // Late traffic of a finished transaction (a trailing reply behind
+    // the round's conclusion) finds no record and reads as "no
+    // decision".
+    Transaction *txn = findTransaction(msg.txn);
+    std::uint8_t *decision =
+        txn ? &txn->bridgeActions[_topo->blockOf(node)] : nullptr;
 
     // Every message after the first follows the recorded decision, so
     // one transaction sees a consistent ring geometry: a request that
     // descended must have its trailing reply (and the round's
     // conclusion) descend too, and vice versa.
-    if (const std::uint8_t *d = decisions.find(msg.txn)) {
-        if (static_cast<BridgeAction>(*d) == BridgeAction::Descend)
+    if (decision && *decision) {
+        if (static_cast<BridgeAction>(*decision) == BridgeAction::Descend)
             return false;
         bridgeSkipForward(node, msg, lr, 0);
         return true;
@@ -864,8 +867,8 @@ CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg,
         // Inert conclusion sweeping the remainder of the ring: flat
         // members neither snoop it nor count it, so nothing in this
         // block can change it -- skip without consulting the policy.
-        decisions.put(msg.txn, static_cast<std::uint8_t>(
-                                   BridgeAction::Skip));
+        if (decision)
+            *decision = static_cast<std::uint8_t>(BridgeAction::Skip);
         _c.bridgeSkips.inc();
         bridgeSkipForward(node, msg, lr, 0);
         return true;
@@ -875,7 +878,8 @@ CoherenceController::bridgeHandle(NodeId node, const SnoopMessage &msg,
     std::uint16_t pred_trace = 2;
     const BridgeAction action =
         decideBridge(node, msg, lr, decision_latency, pred_trace);
-    decisions.put(msg.txn, static_cast<std::uint8_t>(action));
+    if (decision)
+        *decision = static_cast<std::uint8_t>(action);
     if (_trace)
         _trace->record(TraceEvent::HopDecision, _queue.now(), msg.txn,
                        msg.line, decision_latency,
@@ -1656,10 +1660,6 @@ CoherenceController::finishAndErase(TransactionId id)
     recycleIfIdle(txn->requester, own);
     _transactions.erase(id);
     _txnPool.release(txn);
-    // Bridge decisions are per-transaction state; the id is recycled
-    // eventually, so they must not outlive the record.
-    for (auto &decisions : _bridgeDecisions)
-        decisions.erase(id);
     // Fault recovery: traffic of this transaction may still be stuck in
     // pending entries or line gates (its messages were dropped, or the
     // watchdog closed it early). Reclaim them so the line cannot wedge;
@@ -1775,15 +1775,28 @@ CoherenceController::dumpOutstanding(std::ostream &os) const
            << std::dec << " active " << r.rec->holder << " deferred "
            << r.rec->deferred.size() << '\n';
     }
-    for (std::size_t b = 0; b < _bridgeDecisions.size(); ++b) {
-        _bridgeDecisions[b].forEach([&os, b](TransactionId id,
-                                             std::uint8_t action) {
-            os << "bridge block " << b << " txn " << id << " action "
-               << (static_cast<BridgeAction>(action) == BridgeAction::Skip
-                       ? "skip"
-                       : "descend")
-               << '\n';
-        });
+    // Bridge decisions in (block, txn) order, for the same reason.
+    struct BlockDecision
+    {
+        std::size_t block;
+        TransactionId txn;
+        BridgeAction action;
+    };
+    std::vector<BlockDecision> decisions;
+    _transactions.forEach([&decisions](TransactionId id, Transaction *txn) {
+        for (std::size_t b = 0; b < txn->bridgeActions.size(); ++b) {
+            if (const std::uint8_t a = txn->bridgeActions[b])
+                decisions.push_back({b, id, static_cast<BridgeAction>(a)});
+        }
+    });
+    std::sort(decisions.begin(), decisions.end(),
+              [](const BlockDecision &a, const BlockDecision &b) {
+                  return a.block != b.block ? a.block < b.block
+                                            : a.txn < b.txn;
+              });
+    for (const BlockDecision &d : decisions) {
+        os << "bridge block " << d.block << " txn " << d.txn << " action "
+           << (d.action == BridgeAction::Skip ? "skip" : "descend") << '\n';
     }
 }
 

@@ -495,10 +495,6 @@ class CoherenceController : public RequestPort
     /** Per-block presence aggregates (owned by Machine; may be null). */
     std::vector<std::unique_ptr<PresencePredictor>> *_bridgePresence =
         nullptr;
-    /** Per block: txn -> recorded BridgeAction. Every later message of
-     *  a transaction follows the first decision, so a round's request,
-     *  trailing reply and conclusion see a consistent geometry. */
-    std::vector<FlatMap<std::uint8_t>> _bridgeDecisions;
 
     /** Event tracing (docs/TRACING.md); null (zero-cost) by default. */
     TraceSink *_trace = nullptr;

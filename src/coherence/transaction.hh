@@ -54,6 +54,15 @@ struct Transaction
      */
     bool invalidateOnFill = false;
 
+    /**
+     * Hier topology: per block, the BridgeAction its bridge recorded
+     * for this transaction (0 = none yet). Every later message of the
+     * transaction follows the first decision, so a round's request,
+     * trailing reply and conclusion see one ring geometry. Sized to
+     * the block count at issue; empty on a flat ring.
+     */
+    std::vector<std::uint8_t> bridgeActions;
+
     bool
     complete() const
     {
@@ -62,8 +71,9 @@ struct Transaction
 
     /**
      * Re-initialize a recycled pool slot. Field assignments instead of
-     * `*this = Transaction{}` so `waiters` keeps its grown capacity —
-     * the reason pooled transactions stop allocating in steady state.
+     * `*this = Transaction{}` so `waiters` and `bridgeActions` keep
+     * their grown capacity — the reason pooled transactions stop
+     * allocating in steady state.
      */
     void
     reset()
@@ -84,6 +94,7 @@ struct Transaction
         writeNeedsData = false;
         writeDataSupplied = false;
         invalidateOnFill = false;
+        bridgeActions.clear();
     }
 };
 

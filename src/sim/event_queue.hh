@@ -6,25 +6,20 @@
  * callables scheduled at absolute cycles; ties are broken by insertion
  * order so simulation is fully deterministic.
  *
- * Two interchangeable scheduler implementations share this interface:
- *
- *  - the default hierarchical timing wheel (timing_wheel.hh), which
- *    makes schedule/pop O(1) for the short, clustered event horizons a
- *    fixed-latency embedded ring produces; and
- *  - the original explicit binary heap, kept as the bit-exact
- *    reference implementation and selected by setting the
- *    FLEXSNOOP_HEAP_QUEUE environment variable (or constructing with
- *    Impl::Heap).
- *
- * Both fire events in strict (cycle, seq) order, so every RunResult —
- * and every .fstrace byte — is identical under either implementation.
+ * The scheduler is a hierarchical timing wheel (timing_wheel.hh),
+ * which makes schedule/pop O(1) for the short, clustered event
+ * horizons a fixed-latency embedded ring produces. Events fire in
+ * strict (cycle, seq) order — the order a binary min-heap over the
+ * same events would give — and the queue checks that order where it
+ * is produced: every dispatch must come after the previous one, and a
+ * queue found empty must have fired every event ever scheduled. Both
+ * checks are asserts, which stay on in every build.
  *
  * The kernel is allocation-light: callables up to EventFn::kInlineSize
  * bytes (every lambda the simulator schedules today) are stored inline.
  * The wheel builds each callable once, in a pooled slot it links into
- * its buckets, and runs it there; slots are recycled after dispatch and
- * by clear(), and the heap's vector keeps its capacity, so steady-state
- * operation performs no heap allocation per event.
+ * its buckets, and runs it there; slots are recycled after dispatch,
+ * so steady-state operation performs no heap allocation per event.
  */
 
 #ifndef FLEXSNOOP_SIM_EVENT_QUEUE_HH
@@ -34,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
-#include <vector>
 
 #include "sim/event_fn.hh"
 #include "sim/timing_wheel.hh"
@@ -59,34 +53,15 @@ class EventQueue
      */
     static constexpr Cycle kNoEvent = ~Cycle{0};
 
-    /** Scheduler implementation selector. */
-    enum class Impl
-    {
-        Wheel, ///< hierarchical timing wheel (default)
-        Heap,  ///< reference binary heap (FLEXSNOOP_HEAP_QUEUE)
-    };
-
-    /** Implementation from the environment: Impl::Heap when
-     *  FLEXSNOOP_HEAP_QUEUE is set, Impl::Wheel otherwise. */
-    EventQueue();
-
-    /** Force a specific implementation (tests and benches). */
-    explicit EventQueue(Impl impl);
-
+    EventQueue() = default;
     EventQueue(const EventQueue &) = delete;
     EventQueue &operator=(const EventQueue &) = delete;
-
-    Impl impl() const { return _impl; }
 
     /** Current simulated time. */
     Cycle now() const { return _now; }
 
     /** Number of events not yet fired. */
-    std::size_t
-    pending() const
-    {
-        return _impl == Impl::Heap ? _heap.size() : _wheel.size();
-    }
+    std::size_t pending() const { return _wheel.size(); }
 
     /** Total events executed since construction. */
     std::uint64_t executed() const { return _executed; }
@@ -108,17 +83,15 @@ class EventQueue
      * Size the wheel's near level to cover @p near_buckets cycles of
      * horizon (rounded up to a power of two). Machines derive this
      * from their latency configuration so the common-case event lands
-     * in the near wheel. Only legal while the queue is empty; a no-op
-     * under the heap implementation.
+     * in the near wheel. Only legal while the queue is empty.
      */
     void
     configureWheel(std::size_t near_buckets)
     {
-        if (_impl == Impl::Wheel)
-            _wheel.configure(near_buckets);
+        _wheel.configure(near_buckets);
     }
 
-    /** Near-wheel bucket count (meaningful under Impl::Wheel). */
+    /** Near-wheel bucket count. */
     std::size_t nearBuckets() const { return _wheel.nearBuckets(); }
 
     /**
@@ -135,47 +108,37 @@ class EventQueue
     }
 
     /**
-     * Schedule @p fn at the absolute cycle @p when (>= now). Under the
-     * wheel the callable is constructed directly in the slot it will
-     * run from.
+     * Schedule @p fn at the absolute cycle @p when (>= now). The
+     * callable is constructed directly in the slot it will run from.
      */
     template <typename F>
     void
     scheduleAt(Cycle when, F &&fn)
     {
         assert(when >= _now && "cannot schedule into the past");
-        if (_impl == Impl::Heap) {
-            _heap.push_back(
-                Entry{when, _nextSeq, EventFn(std::forward<F>(fn))});
-            siftUp(_heap.size() - 1);
-        } else {
-            WheelSlot *slot = _wheel.acquire();
-            try {
-                slot->fn.emplace(std::forward<F>(fn));
-            } catch (...) {
-                _wheel.recycle(slot);
-                throw;
-            }
-            slot->when = when;
-            slot->seq = _nextSeq;
-            _wheel.link(_now, slot);
+        WheelSlot *slot = _wheel.acquire();
+        try {
+            slot->fn.emplace(std::forward<F>(fn));
+        } catch (...) {
+            _wheel.recycle(slot);
+            throw;
         }
-        ++_nextSeq;
+        slot->when = when;
+        slot->seq = _nextSeq++;
+        _wheel.link(_now, slot);
         if (when > _maxScheduledAt)
             _maxScheduledAt = when;
     }
 
     /**
      * Earliest cycle at which any pending event fires; kNoEvent when
-     * the queue is empty. O(1): the heap root, or the wheel's cached
-     * minimum (a short bitmap scan right after a bucket drains).
+     * the queue is empty. O(1): the wheel's cached minimum (a short
+     * bitmap scan right after a bucket drains).
      */
     Cycle
     minPendingTime() const
     {
-        if (_impl == Impl::Heap)
-            return _heap.empty() ? kNoEvent : _heap.front().when;
-        return _wheel.empty() ? kNoEvent : _wheel.minPending();
+        return drained() ? kNoEvent : _wheel.minPending();
     }
 
     /**
@@ -213,27 +176,22 @@ class EventQueue
     bool
     step()
     {
-        if (_impl == Impl::Heap) {
-            if (_heap.empty())
-                return false;
-            Entry entry = popTop();
-            assert(entry.when >= _now);
-            _now = entry.when;
-            if (_now >= _nextSampleAt) [[unlikely]]
-                fireSampleHook();
-            ++_executed;
-            entry.fn();
-            return true;
-        }
-        if (_wheel.empty())
+        if (drained())
             return false;
         // The slot runs where it sits and is recycled however dispatch
         // ends, so an event that throws still destroys its callable
         // and returns its slot.
         const SlotRecycler recycler{_wheel, _wheel.unlinkFront()};
         WheelSlot &slot = *recycler.slot;
-        assert(slot.when >= _now);
+        // (cycle, seq) strictly increases from one dispatch to the
+        // next. With the drained() check, this pins the heap order: an
+        // event the wheel passed over fires later and trips this, or
+        // never fires and trips that.
+        assert((slot.when > _now ||
+                (slot.when == _now && slot.seq >= _minSeqAtNow)) &&
+               "events must fire in strict (cycle, seq) order");
         _now = slot.when;
+        _minSeqAtNow = slot.seq + 1;
         if (_now >= _nextSampleAt) [[unlikely]]
             fireSampleHook();
         ++_executed;
@@ -241,27 +199,7 @@ class EventQueue
         return true;
     }
 
-    /**
-     * Drop all pending events (used between experiment repetitions),
-     * destroying their callables. The wheel's slots and the heap's
-     * storage are retained for reuse.
-     */
-    void clear();
-
-    /**
-     * Reserve storage for @p events pending events. Meaningful for the
-     * heap; the wheel's slot pool grows in chunks on first use and
-     * keeps them, so it reaches the same steady state on its own.
-     */
-    void
-    reserve(std::size_t events)
-    {
-        if (_impl == Impl::Heap)
-            _heap.reserve(events);
-    }
-
-    /** Wheel self-measurement (docs/METRICS.md "queue.*"); zeros under
-     *  the heap implementation. */
+    /** Wheel self-measurement (docs/METRICS.md "queue.*"). */
     const TimingWheel &wheel() const { return _wheel; }
 
   private:
@@ -277,22 +215,17 @@ class EventQueue
         WheelSlot *slot;
     };
 
-    /** Heap entry (reference implementation). */
-    struct Entry
+    /** True when no event is pending. Nothing but dispatch removes an
+     *  event, so an empty queue has fired every event it was given. */
+    bool
+    drained() const
     {
-        Cycle when;
-        std::uint64_t seq;
-        EventFn fn;
-
-        /** Strict priority: earlier cycle first, then insertion order. */
-        bool
-        before(const Entry &other) const
-        {
-            if (when != other.when)
-                return when < other.when;
-            return seq < other.seq;
-        }
-    };
+        if (!_wheel.empty())
+            return false;
+        assert(_executed == _nextSeq &&
+               "a scheduled event was lost without firing");
+        return true;
+    }
 
     /** Out-of-line slow path of the sampling hook: fire it once for
      *  the crossed boundary, then advance past any skipped intervals
@@ -301,18 +234,11 @@ class EventQueue
      *  reads on the next cycle it is clocked). */
     void fireSampleHook();
 
-    /** Move the last element up into its heap position. */
-    void siftUp(std::size_t i);
-    /** Re-establish the heap property downward from the root. */
-    void siftDown(std::size_t i);
-    /** Remove and return the minimum heap entry. */
-    Entry popTop();
-
-    Impl _impl;
     TimingWheel _wheel;
-    std::vector<Entry> _heap; ///< binary min-heap by (when, seq)
     Cycle _now = 0;
-    std::uint64_t _nextSeq = 0;
+    std::uint64_t _nextSeq = 0; ///< also the count of events scheduled
+    /** Lowest seq the next dispatch may carry if it fires at _now. */
+    std::uint64_t _minSeqAtNow = 0;
     std::uint64_t _executed = 0;
     Cycle _maxScheduledAt = 0; ///< furthest cycle ever scheduled
     Cycle _nextSampleAt = kNoEvent; ///< kNoEvent = sampling disarmed

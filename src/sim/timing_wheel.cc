@@ -69,22 +69,6 @@ TimingWheel::scanFrom(const std::vector<std::uint64_t> &bm,
     }
 }
 
-void
-TimingWheel::SlotList::insertSorted(WheelSlot *slot)
-{
-    // Fresh links carry the newest seq and append; a relink can only
-    // meet newer seqs if a bucket it lands in was already occupied.
-    if (!tail || tail->seq < slot->seq) {
-        append(slot);
-        return;
-    }
-    WheelSlot **pos = &head;
-    while ((*pos)->seq < slot->seq)
-        pos = &(*pos)->next;
-    slot->next = *pos;
-    *pos = slot;
-}
-
 Cycle
 TimingWheel::SlotList::minWhen() const
 {
@@ -119,7 +103,7 @@ TimingWheel::place(WheelSlot *slot)
     if ((when >> _nearBits) == (_w0 >> _nearBits)) {
         const auto b = static_cast<std::size_t>(when & _nearMask);
         setBit(_nearMap, b);
-        _near[b].insertSorted(slot);
+        _near[b].append(slot);
         return 0;
     }
     for (std::size_t l = 1; l <= kOverflowLevels; ++l) {
@@ -129,11 +113,11 @@ TimingWheel::place(WheelSlot *slot)
             const auto b = static_cast<std::size_t>(
                 (when >> g) & (kOverflowSlots - 1));
             setBit(_overMap[l - 1], b);
-            _over[l - 1][b].insertSorted(slot);
+            _over[l - 1][b].append(slot);
             return static_cast<std::uint8_t>(l);
         }
     }
-    _far.insertSorted(slot);
+    _far.append(slot);
     return kFarLevel;
 }
 
@@ -149,8 +133,11 @@ void
 TimingWheel::relinkAll(SlotList list)
 {
     ++_cascades;
-    // The list is seq-ordered, so each target bucket receives an
-    // in-order (appending) run.
+    // The list is seq-ordered and every bucket it can reach is empty:
+    // a cascade runs only once every near bucket from _curSlot on and
+    // every lower level has drained, and redistributeFar() only once
+    // everything pending is far. So appending keeps each target bucket
+    // seq-ordered.
     for (WheelSlot *s = list.head; s;) {
         WheelSlot *next = s->next;
         place(s);
@@ -251,33 +238,6 @@ TimingWheel::recomputeMin() const
             return _over[l - 1][s].minWhen();
     }
     return _far.minWhen();
-}
-
-void
-TimingWheel::clear()
-{
-    const auto drain = [this](SlotList &list) {
-        for (WheelSlot *s = list.head; s;) {
-            WheelSlot *next = s->next;
-            recycle(s);
-            s = next;
-        }
-        list = SlotList{};
-    };
-    for (SlotList &b : _near)
-        drain(b);
-    for (auto &level : _over)
-        for (SlotList &b : level)
-            drain(b);
-    drain(_far);
-    _nearMap.assign(_nearMap.size(), 0);
-    for (auto &map : _overMap)
-        map.assign(map.size(), 0);
-    _size = 0;
-    _curSlot = 0;
-    _w0 = 0;
-    _scan.fill(kOverflowSlots);
-    _minValid = false;
 }
 
 } // namespace flexsnoop

@@ -12,9 +12,13 @@
  * scheduler builds the callable in its slot, every bucket is an
  * intrusive list of slots, cascades relink slots rather than move
  * callables, and dispatch runs the callable where it sits before the
- * slot is recycled. Every bucket keeps its slots ordered by the
- * scheduler's sequence counter, so execution order — (cycle, seq)
- * strict — is bit-identical to a binary min-heap over the same events.
+ * slot is recycled. Every bucket only ever appends, in the scheduler's
+ * sequence order: a fresh link carries the newest seq, and a cascade
+ * or far-list redistribution relinks a seq-ordered list into buckets
+ * that are empty when it starts. So execution order — (cycle, seq)
+ * strict — is the order a binary min-heap over the same events would
+ * give; append() asserts it, and EventQueue checks it again at
+ * dispatch.
  *
  * Occupancy bitmaps per level make the "next non-empty bucket" scan a
  * handful of word operations, so draining across empty cycle stretches
@@ -148,9 +152,6 @@ class TimingWheel
      *  common case, a bitmap scan after a bucket drains. */
     Cycle minPending() const;
 
-    /** Recycle every pending slot, destroying its callable. */
-    void clear();
-
     // Self-measurement (docs/METRICS.md "queue.*") --------------------
 
     /** Overflow buckets cascaded down a level. */
@@ -169,9 +170,14 @@ class TimingWheel
         WheelSlot *head = nullptr;
         WheelSlot *tail = nullptr;
 
+        /** Requires @p slot to be newer than the tail: a fresh link
+         *  carries the newest seq, and relinks land in buckets that
+         *  were empty when the cascade began. */
         void
         append(WheelSlot *slot)
         {
+            assert((!tail || tail->seq < slot->seq) &&
+                   "a bucket must stay seq-ordered");
             slot->next = nullptr;
             if (tail)
                 tail->next = slot;
@@ -179,10 +185,6 @@ class TimingWheel
                 head = slot;
             tail = slot;
         }
-
-        /** Seq-ordered insert: an append unless @p slot is older than
-         *  the tail, which walks from the head. */
-        void insertSorted(WheelSlot *slot);
 
         /** Earliest cycle held. Requires a non-empty list. */
         Cycle minWhen() const;
@@ -205,9 +207,9 @@ class TimingWheel
      *  window and count it. */
     void linkOverflow(WheelSlot *slot);
 
-    /** File @p slot into the level its cycle belongs to, keeping the
-     *  target bucket seq-ordered. Does not touch _size. @return the
-     *  level chosen (0 near, 1..3 overflow, kFarLevel). */
+    /** Append @p slot to the bucket of the level its cycle belongs
+     *  to. Does not touch _size. @return the level chosen (0 near,
+     *  1..3 overflow, kFarLevel). */
     std::uint8_t place(WheelSlot *slot);
 
     /** Relink every slot of @p list through place(), counting them as

@@ -1,8 +1,9 @@
 /**
  * @file
  * Unit tests for the Machine facade: construction per configuration,
- * stat reset at the warmup boundary, energy finalization, and the
- * predictor-accuracy aggregation the benches rely on.
+ * event-wheel sizing, stat reset at the warmup boundary, energy
+ * finalization, and the predictor-accuracy aggregation the benches
+ * rely on.
  */
 
 #include <gtest/gtest.h>
@@ -32,6 +33,16 @@ TEST(Machine, BuildsPaperDefault)
     EXPECT_EQ(machine.policy().algorithm(), Algorithm::SupersetAgg);
     for (NodeId n = 0; n < machine.numNodes(); ++n)
         EXPECT_NE(machine.node(n).predictor(), nullptr);
+}
+
+TEST(Machine, SizesTheEventWheelFromItsHotLatencies)
+{
+    // The near wheel covers the largest single hot-path latency (710
+    // cycles in testDefault), rounded up to a power of two.
+    const MachineConfig cfg = MachineConfig::testDefault(Algorithm::Lazy);
+    EXPECT_EQ(cfg.eventQueueNearBuckets(), 710u);
+    Machine machine(cfg);
+    EXPECT_EQ(machine.queue().nearBuckets(), 1024u);
 }
 
 TEST(Machine, LazyNeedsNoPredictor)
